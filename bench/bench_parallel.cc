@@ -5,14 +5,17 @@
 //  1. Correctness (always enforced): num_threads ∈ {1, 4} and plan cache
 //     on/off produce identical rows in identical order, and the matcher
 //     executes the identical instruction count.
-//  2. Speedup (enforced only with >= 4 hardware threads and no sanitizer):
-//     4 worker threads must cut wall time by >= 2x vs num_threads=1.
+//  2. Speedup (enforced only when a pure-ALU spin probe measures >= 3
+//     effective cores and no sanitizer is on): 4 worker threads must cut
+//     wall time by >= 2x vs num_threads=1. Elsewhere the machine cannot
+//     show the bound, and the gate says so instead of passing.
 //  3. Plan-cache latency (always enforced): the second compilation of an
 //     identical query — a cache hit skipping normalize/analyze/plan — must
 //     be >= 10x faster than the first on a cold graph.
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -117,17 +120,52 @@ Measurement Measure(const PropertyGraph& g, const std::string& query,
   return m;
 }
 
+/// Pure-ALU work: a dependent multiply-add chain with no memory traffic.
+uint64_t Spin(uint64_t iterations, uint64_t x) {
+  for (uint64_t i = 0; i < iterations; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+  }
+  return x;
+}
+
+/// Best-of-3 wall time (ms) of `threads` threads each spinning the same
+/// fixed amount of work.
+double SpinMillis(size_t threads) {
+  constexpr uint64_t kIterations = 20000000;
+  static volatile uint64_t sink = 0;
+  double best = 1e300;
+  for (int rep = 0; rep < 3; ++rep) {
+    std::vector<uint64_t> out(threads);
+    auto start = std::chrono::steady_clock::now();
+    std::vector<std::thread> workers;
+    for (size_t t = 0; t < threads; ++t) {
+      workers.emplace_back([&out, t] { out[t] = Spin(kIterations, t + 1); });
+    }
+    for (std::thread& w : workers) w.join();
+    best = std::min(best, MillisSince(start));
+    for (uint64_t v : out) sink = sink + v;
+  }
+  return best;
+}
+
+/// Whether this machine can show the 4-worker speedup bound. The probe
+/// measures effective cores as 4 x (1-thread spin time) / (4-thread spin
+/// time): 4.0 on four free cores, 1.0 when the four threads time-slice a
+/// single core, whatever hardware_concurrency() claims.
 bool SpeedupGateActive() {
 #ifdef GPML_BENCH_SANITIZED
   std::printf("speedup gate: SKIPPED (sanitizer build distorts timings)\n");
   return false;
 #else
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw < 4) {
-    std::printf(
-        "speedup gate: SKIPPED (%u hardware thread(s); need >= 4 to "
-        "demonstrate a 4-worker speedup)\n",
-        hw);
+  const double one = SpinMillis(1);
+  const double four = SpinMillis(4);
+  const double cores = four > 0 ? 4.0 * one / four : 0;
+  std::printf("spin probe: 1 thread %.1fms, 4 threads %.1fms -> %.2f "
+              "effective cores\n",
+              one, four, cores);
+  if (cores < 3.0) {
+    std::printf("speedup gate: NOT MEASURABLE HERE (%.2f effective cores)\n",
+                cores);
     return false;
   }
   return true;

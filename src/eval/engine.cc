@@ -9,7 +9,7 @@
 #include "common/source.h"
 #include "eval/nfa.h"
 #include "obs/clock.h"
-#include "obs/metrics.h"
+#include "obs/engine_metrics.h"
 #include "parser/parser.h"
 #include "planner/explain.h"
 #include "planner/stats.h"
@@ -265,91 +265,265 @@ const Value* ResolveIndexValue(const planner::SeedEstimate& anchor,
 constexpr size_t kFirstChunkSeeds = 8;
 constexpr size_t kMaxChunkSeeds = 4096;
 
+/// The matcher options an execution runs under: the engine's switches
+/// override the matcher's own (EngineOptions::num_threads/use_csr/use_batch).
+MatcherOptions ExecMatcherOptions(const EngineOptions& options,
+                                  size_t threads) {
+  MatcherOptions m = options.matcher;
+  m.num_threads = threads;
+  m.use_csr = options.use_csr;
+  m.use_batch = options.use_batch;
+  return m;
+}
+
 // ---------------------------------------------------------------------------
-// Observability helpers (docs/observability.md)
+// Publication: the one path every execution ends in (docs/observability.md)
 // ---------------------------------------------------------------------------
 
 uint64_t MsToUs(double ms) { return static_cast<uint64_t>(ms * 1000.0); }
 
-// Stage-histogram series of the graph registry; the base metric is shared,
-// the label selects the pipeline stage (obs/prometheus.h splits them back).
-constexpr char kStagePlan[] = "gpml_stage_duration_us{stage=\"plan\"}";
-constexpr char kStageSeed[] = "gpml_stage_duration_us{stage=\"seed\"}";
-constexpr char kStageMatch[] = "gpml_stage_duration_us{stage=\"match\"}";
-constexpr char kStageJoin[] = "gpml_stage_duration_us{stage=\"join\"}";
-constexpr char kStageFilter[] = "gpml_stage_duration_us{stage=\"filter\"}";
+/// The compile cost stored on a plan entry (replayed into the plan span).
+double CompileMs(const planner::CachedPlan& plan) {
+  return plan.analyze_ms + plan.plan_ms + plan.compile_ms;
+}
 
-/// Captures one slow execution into the configured (or global) log.
+/// The EXPLAIN exec line of a run: worker count, plan-cache hit, and the
+/// batch block target (0 = scalar).
+planner::ExplainExec ExecLine(size_t threads, bool cached, bool use_batch) {
+  planner::ExplainExec exec;
+  exec.threads = threads;
+  exec.cached = cached;
+  exec.batch = use_batch ? kBatchBlockTarget : 0;
+  return exec;
+}
+
+/// The EXPLAIN ANALYZE exec line of a finished execution.
+planner::ExplainExec AnalyzedExec(const ExecRecord& rec, bool use_batch) {
+  planner::ExplainExec exec =
+      ExecLine(rec.totals.threads, rec.cache_hit(), use_batch);
+  exec.analyzed = true;
+  exec.rows = rec.totals.rows;
+  exec.truncated = rec.truncated();
+  exec.total_ms = rec.total_ms;
+  exec.plan_ms = rec.totals.plan_ms;
+  return exec;
+}
+
+/// Lays out the span tree of a finished execution from its record. Spans
+/// carry the measured stage durations, placed back to back in execution
+/// order: parse/plan replayed at the epoch, then per declaration a decl
+/// span owning its seed and per-shard children, each join, and the final
+/// filter. Streams do their work across pulls, so the same reconstruction
+/// serves both routes.
+void BuildTrace(const EngineOptions& options,
+                const planner::CachedPlan& prepared, const ExecRecord& rec,
+                obs::Trace* tr) {
+  tr->Clear();
+  const int root = tr->AddComplete("query", obs::Trace::kNoParent, 0,
+                                   MsToUs(rec.total_ms));
+  if (rec.stream) tr->Attr(root, "mode", "stream");
+  tr->Attr(root, "threads", std::to_string(rec.totals.threads));
+  tr->Attr(root, "cached", rec.cache_hit() ? "true" : "false");
+  tr->Attr(root, "rows", std::to_string(rec.totals.rows));
+  if (!options.tenant.empty()) tr->Attr(root, "tenant", options.tenant);
+  if (!options.trace_id.empty()) tr->Attr(root, "trace_id", options.trace_id);
+  if (rec.parse_ms > 0) tr->AddComplete("parse", root, 0, MsToUs(rec.parse_ms));
+  const int plan_span =
+      tr->AddComplete("plan", root, 0, MsToUs(CompileMs(prepared)));
+  tr->Attr(plan_span, "cached", rec.cache_hit() ? "true" : "false");
+  uint64_t at = 0;
+  for (size_t pos = 0; pos < rec.decls.size(); ++pos) {
+    const planner::DeclActual& a = rec.decls[pos];
+    const int decl = tr->AddComplete("decl", root, at, MsToUs(a.ms));
+    tr->Attr(decl, "decl",
+             std::to_string(prepared.plan.decls[pos].decl_index));
+    tr->Attr(decl, "source", a.index_seeded    ? "index"
+                             : a.seed_filtered ? "bound"
+                                               : "scan");
+    tr->AddComplete("seed", decl, at, MsToUs(a.seed_ms));
+    const uint64_t shard_start = at + MsToUs(a.seed_ms);
+    for (size_t i = 0; i < a.shard_ms.size(); ++i) {
+      const int shard =
+          tr->AddComplete("shard", decl, shard_start, MsToUs(a.shard_ms[i]));
+      tr->Attr(shard, "shard", std::to_string(i));
+    }
+    at += MsToUs(a.ms);
+    if (pos > 0) {
+      tr->AddComplete("join", root, at, MsToUs(a.join_ms));
+      at += MsToUs(a.join_ms);
+    }
+  }
+  tr->AddComplete("filter", root, at, MsToUs(rec.filter_ms));
+}
+
+/// Captures one slow execution — parameterized fingerprint, EXPLAIN
+/// ANALYZE with per-declaration actuals, trace — into the configured (or
+/// global) log.
 void CaptureSlowQuery(const EngineOptions& options, const PropertyGraph& g,
                       const planner::CachedPlan& prepared,
-                      const planner::ExplainExec& exec,
-                      const std::vector<planner::DeclActual>* actuals,
-                      const obs::Trace* trace, double total_ms,
-                      size_t rows) {
-  obs::SlowQueryRecord rec;
-  rec.graph_token = g.identity_token();
+                      const ExecRecord& rec, const obs::Trace& trace) {
+  obs::SlowQueryRecord slow;
+  slow.graph_token = g.identity_token();
   // Parameterized fingerprint: $names render as themselves, so the capture
   // never leaks bound values (matches the plan cache's keying).
-  rec.fingerprint = Print(prepared.normalized);
-  rec.total_ms = total_ms;
-  rec.rows = rows;
-  rec.explain = planner::ExplainPlan(prepared.plan, *prepared.vars,
-                                     /*stats=*/nullptr, &exec, actuals,
-                                     &prepared.diagnostics);
-  if (trace != nullptr) rec.trace_json = trace->ToJsonLines();
-  rec.tenant = options.tenant;
-  rec.trace_id = options.trace_id;
+  slow.fingerprint = prepared.stats_fingerprint;
+  slow.total_ms = rec.total_ms;
+  slow.rows = rec.totals.rows;
+  const planner::ExplainExec exec = AnalyzedExec(rec, options.use_batch);
+  slow.explain = planner::ExplainPlan(prepared.plan, *prepared.vars,
+                                      /*stats=*/nullptr, &exec, &rec.decls,
+                                      &prepared.diagnostics);
+  slow.trace_json = trace.ToJsonLines();
+  slow.tenant = options.tenant;
+  slow.trace_id = options.trace_id;
   obs::SlowQueryLog& log = options.slow_log != nullptr
                                ? *options.slow_log
                                : obs::GlobalSlowQueryLog();
-  log.Add(std::move(rec));
+  log.Add(std::move(slow));
 }
 
-/// Folds one completed execution — success, error, or truncation — into
+/// Folds one finished execution — success, error, or truncation — into
 /// the query-stats store (EngineOptions::query_stats, defaulting to the
-/// process-wide store) and publishes the gpml_querystats_* /
-/// gpml_plan_changes_total counters into the graph's registry. One short
-/// mutexed update per completion; the matcher's inner loop never sees it.
+/// process-wide store) and counts it in the gpml_querystats_* /
+/// gpml_plan_changes_total families. One short mutexed update per
+/// execution; the matcher's inner loop never sees it.
 void RecordQueryStats(const EngineOptions& options, const PropertyGraph& g,
-                      const planner::CachedPlan& prepared, bool cache_hit,
-                      double total_ms, uint64_t rows, uint64_t seeds,
-                      uint64_t steps, bool error, bool truncated,
-                      bool batch_engaged) {
-  if (!options.publish_query_stats) return;
+                      const planner::CachedPlan& prepared,
+                      const ExecRecord& rec, bool error,
+                      const obs::EngineMetricHandles* handles) {
   obs::QueryObservation o;
   // Stats key: the parameterized pattern text (same discipline as the
-  // slow-query fingerprint — bound values never leak). The cached copy
-  // avoids re-rendering per execution; plan-cache-off runs compute it
-  // fresh in PreparePlan either way.
+  // slow-query fingerprint — bound values never leak), rendered once per
+  // compile.
   o.fingerprint = prepared.stats_fingerprint;
   o.graph_token = g.identity_token();
   o.tenant = options.tenant;
   o.plan_hash = prepared.plan_hash;
-  o.total_ms = total_ms;
-  o.rows = rows;
-  o.seeds = seeds;
-  o.steps = steps;
+  o.total_ms = rec.total_ms;
+  o.rows = rec.totals.rows;
+  o.seeds = rec.totals.seeded_nodes;
+  o.steps = rec.totals.matcher_steps;
   o.error = error;
-  o.truncated = truncated;
-  o.cache_hit = cache_hit;
-  o.batch_engaged = batch_engaged;
+  o.truncated = !error && rec.truncated();
+  o.cache_hit = rec.cache_hit();
+  o.batch_engaged = rec.totals.batch_blocks > 0;
   obs::QueryStatsStore& store = options.query_stats != nullptr
                                     ? *options.query_stats
                                     : obs::GlobalQueryStats();
   obs::QueryStatsStore::RecordOutcome outcome = store.Record(o);
-  if (options.publish_metrics) {
-    std::shared_ptr<obs::MetricsRegistry> registry = g.metrics_registry();
-    registry->GetCounter("gpml_querystats_observations_total")->Increment();
-    if (outcome.evicted) {
-      registry->GetCounter("gpml_querystats_evictions_total")->Increment();
-    }
-    if (outcome.plan_changed) {
-      registry->GetCounter("gpml_plan_changes_total")->Increment();
-    }
+  if (handles == nullptr) return;
+  handles->querystats_observations->Increment();
+  if (outcome.evicted) handles->querystats_evictions()->Increment();
+  if (outcome.plan_changed) handles->plan_changes()->Increment();
+}
+
+/// Publishes a finished execution's record. Completed executions publish
+/// everything — registry counters and stage histograms, the trace (to
+/// EngineOptions::trace and the sink), slow-query capture, query stats;
+/// failed ones only fold into query stats: a query that dies on its step
+/// budget dominated that budget, and the store exists to say so.
+void Publish(const EngineOptions& options, const PropertyGraph& g,
+             const planner::CachedPlan& prepared, const ExecRecord& rec,
+             bool error) {
+  const obs::EngineMetricHandles* h =
+      options.publish_metrics ? &g.metric_handles() : nullptr;
+  if (options.publish_query_stats) {
+    RecordQueryStats(options, g, prepared, rec, error, h);
   }
+  if (error) return;
+  const bool slow =
+      options.slow_query_ms >= 0 && rec.total_ms > options.slow_query_ms;
+  if (h != nullptr) {
+    const EngineMetrics& m = rec.totals;
+    h->executions->Increment();
+    h->decls->Increment(m.decls);
+    h->seeded_nodes->Increment(m.seeded_nodes);
+    h->matcher_steps->Increment(m.matcher_steps);
+    h->reversed_decls->Increment(m.reversed_decls);
+    h->seed_filtered_decls->Increment(m.seed_filtered_decls);
+    h->index_seeded_decls->Increment(m.index_seeded_decls);
+    h->rows->Increment(m.rows);
+    h->budget_truncated->Increment(m.budget_truncated);
+    h->batch_blocks->Increment(m.batch_blocks);
+    if (m.batch_candidates > 0) {
+      h->batch_survivor_rate()->Observe(
+          100.0 * static_cast<double>(m.batch_survivors) /
+          static_cast<double>(m.batch_candidates));
+    }
+    h->stage_plan->Observe(MsToUs(m.plan_ms));
+    h->stage_seed->Observe(MsToUs(m.seed_ms));
+    h->stage_match->Observe(MsToUs(m.exec_ms));
+    h->stage_join->Observe(MsToUs(rec.join_ms));
+    h->stage_filter->Observe(MsToUs(rec.filter_ms));
+    h->query_duration->Observe(MsToUs(rec.total_ms));
+    if (slow) h->slow_queries()->Increment();
+  }
+  // The trace is laid out only when something consumes it.
+  if (options.trace == nullptr && options.trace_sink == nullptr && !slow) {
+    return;
+  }
+  obs::Trace local_trace;
+  obs::Trace* tr = options.trace != nullptr ? options.trace : &local_trace;
+  BuildTrace(options, prepared, rec, tr);
+  if (options.trace_sink != nullptr) options.trace_sink->Emit(*tr);
+  if (slow) CaptureSlowQuery(options, g, prepared, rec, *tr);
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// ExecRecord
+// ---------------------------------------------------------------------------
+
+ExecRecord::ExecRecord(const planner::CachedPlan& plan, bool cache_hit,
+                       double parse_ms, size_t threads)
+    : start_us(obs::MonotonicMicros()), parse_ms(parse_ms) {
+  totals.threads = threads;
+  totals.plan_cache_hits = cache_hit ? 1 : 0;
+  totals.plan_cache_misses = cache_hit ? 0 : 1;
+  // Parsing always runs (the fingerprint needs a parsed pattern); the
+  // normalize/plan/compile half was paid only on a cache miss.
+  totals.plan_ms = parse_ms + (cache_hit ? 0.0 : CompileMs(plan));
+}
+
+void ExecRecord::BeginDecl(bool reversed, bool index_seeded,
+                           bool seed_filtered) {
+  ++totals.decls;
+  if (reversed) ++totals.reversed_decls;
+  if (index_seeded) ++totals.index_seeded_decls;
+  if (seed_filtered) ++totals.seed_filtered_decls;
+  planner::DeclActual a;
+  a.index_seeded = index_seeded;
+  a.seed_filtered = seed_filtered;
+  a.ms = 0;
+  decls.push_back(std::move(a));
+}
+
+void ExecRecord::Accumulate(const MatchStats& stats, size_t bindings) {
+  totals.seeded_nodes += stats.seeds;
+  totals.matcher_steps += stats.steps;
+  totals.batch_blocks += stats.batch_blocks;
+  totals.batch_candidates += stats.batch_candidates;
+  totals.batch_survivors += stats.batch_survivors;
+  totals.seed_ms += stats.seed_ms;
+  totals.exec_ms += stats.match_ms;
+  planner::DeclActual& a = decls.back();
+  a.seeds += stats.seeds;
+  a.steps += stats.steps;
+  a.bindings += bindings;
+  a.ms += stats.match_ms;
+  a.seed_ms += stats.seed_ms;
+  if (a.shard_ms.size() < stats.shard_ms.size()) {
+    a.shard_ms.resize(stats.shard_ms.size(), 0.0);
+  }
+  for (size_t i = 0; i < stats.shard_ms.size(); ++i) {
+    a.shard_ms[i] += stats.shard_ms[i];
+  }
+}
+
+void ExecRecord::Finish() {
+  total_ms = static_cast<double>(obs::MonotonicMicros() - start_us) / 1e3;
+}
 
 // ---------------------------------------------------------------------------
 // Engine: prepare
@@ -398,11 +572,9 @@ Result<std::shared_ptr<const planner::CachedPlan>> Engine::PreparePlan(
     fingerprint = planner::PlanFingerprint(pattern, options_.use_planner,
                                            options_.use_seed_index,
                                            options_.use_analysis);
-    // The registry outlives this call: the graph's member slot keeps it.
     if (std::shared_ptr<const planner::CachedPlan> cached = planner::LookupPlan(
             graph_, fingerprint,
-            options_.publish_metrics ? graph_.metrics_registry().get()
-                                     : nullptr)) {
+            options_.publish_metrics ? &graph_.metric_handles() : nullptr)) {
       *cache_hit = true;
       return cached;
     }
@@ -425,9 +597,8 @@ Result<std::shared_ptr<const planner::CachedPlan>> Engine::PreparePlan(
         analysis::AnalyzeQuery(entry->normalized, p.analysis, &graph_);
     entry->analysis_ms = analysis_clock.ElapsedMs();
     if (options_.publish_metrics && !qa.diagnostics.empty()) {
-      graph_.metrics_registry()
-          ->GetCounter("gpml_diagnostics_emitted_total")
-          ->Increment(qa.diagnostics.size());
+      graph_.metric_handles().diagnostics_emitted()->Increment(
+          qa.diagnostics.size());
     }
     if (qa.diagnostics.has_errors()) {
       return Status::SemanticError(qa.diagnostics.ToString());
@@ -514,10 +685,8 @@ Result<std::string> Engine::Explain(const GraphPattern& pattern) const {
   bool cache_hit = false;
   GPML_ASSIGN_OR_RETURN(std::shared_ptr<const planner::CachedPlan> prepared,
                         PreparePlan(pattern, &cache_hit));
-  planner::ExplainExec exec;
-  exec.threads = ResolvedThreads();
-  exec.cached = cache_hit;
-  exec.batch = options_.use_batch ? kBatchBlockTarget : 0;
+  planner::ExplainExec exec =
+      ExecLine(ResolvedThreads(), cache_hit, options_.use_batch);
   return planner::ExplainPlan(prepared->plan, *prepared->vars,
                               /*stats=*/nullptr, &exec, /*actuals=*/nullptr,
                               &prepared->diagnostics);
@@ -531,36 +700,16 @@ Result<std::string> Engine::ExplainAnalyze(const std::string& match_text,
 
 Result<std::string> Engine::ExplainAnalyze(const GraphPattern& pattern,
                                            const Params& params) const {
-  // Run with private metrics and a private trace so the rendering carries
-  // measured wall-clock actuals (`ms=`, `plan_ms=`, `actual_ms=`) even when
-  // the caller attached neither.
-  EngineMetrics metrics;
-  obs::Trace trace;
-  EngineOptions opts = options_;
-  opts.metrics = &metrics;
-  opts.trace = &trace;
-  Engine sub(graph_, opts);
-  GPML_ASSIGN_OR_RETURN(PreparedQuery prepared, sub.Prepare(pattern));
+  GPML_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(pattern));
   GPML_RETURN_IF_ERROR(ValidateParams(prepared.signature_, params));
   std::shared_ptr<const Params> shared =
       params.empty() ? nullptr : std::make_shared<const Params>(params);
-  std::vector<planner::DeclActual> actuals;
-  GPML_ASSIGN_OR_RETURN(
-      MatchOutput out,
-      sub.ExecutePlan(*prepared.plan_, prepared.cache_hit_, std::move(shared),
-                      &actuals));
-  planner::ExplainExec exec;
-  exec.threads = ResolvedThreads();
-  exec.cached = prepared.cache_hit_;
-  exec.batch = options_.use_batch ? kBatchBlockTarget : 0;
-  exec.analyzed = true;
-  exec.rows = out.rows.size();
-  exec.truncated = out.truncated;
-  exec.total_ms = trace.TotalMs("query");
-  exec.plan_ms = metrics.plan_ms;
-  return planner::ExplainPlan(prepared.plan_->plan, *prepared.plan_->vars,
-                              /*stats=*/nullptr, &exec, &actuals,
-                              &prepared.plan_->diagnostics);
+  const planner::CachedPlan& plan = *prepared.plan_;
+  ExecRecord rec(plan, prepared.cache_hit_, /*parse_ms=*/0, ResolvedThreads());
+  GPML_RETURN_IF_ERROR(ExecutePlan(plan, std::move(shared), &rec).status());
+  const planner::ExplainExec exec = AnalyzedExec(rec, options_.use_batch);
+  return planner::ExplainPlan(plan.plan, *plan.vars, /*stats=*/nullptr, &exec,
+                              &rec.decls, &plan.diagnostics);
 }
 
 // ---------------------------------------------------------------------------
@@ -626,9 +775,8 @@ analysis::DiagnosticList Engine::LintImpl(const std::string& match_text) const {
   analysis::QueryAnalysis qa =
       analysis::AnalyzeQuery(*normalized, *sem, &graph_);
   if (options_.publish_metrics && !qa.diagnostics.empty()) {
-    graph_.metrics_registry()
-        ->GetCounter("gpml_diagnostics_emitted_total")
-        ->Increment(qa.diagnostics.size());
+    graph_.metric_handles().diagnostics_emitted()->Increment(
+        qa.diagnostics.size());
   }
   return std::move(qa.diagnostics);
 }
@@ -649,130 +797,37 @@ Result<MatchOutput> Engine::Match(const GraphPattern& pattern) const {
   return prepared.Execute();
 }
 
-Result<MatchOutput> Engine::ExecutePlan(
-    const planner::CachedPlan& prepared, bool cache_hit,
-    std::shared_ptr<const Params> params,
-    std::vector<planner::DeclActual>* actuals, double parse_ms) const {
-  obs::Stopwatch total_clock;
-  ExecObserved observed;
-  Result<MatchOutput> out =
-      ExecutePlanImpl(prepared, cache_hit, std::move(params), actuals,
-                      parse_ms, &observed);
-  // Unlike the registry publication inside the impl (completed executions
-  // only), workload statistics count failures too: a query that dies on
-  // its step budget dominated that budget, and the whole point of the
-  // store is to say so. `observed` carries the work spent before death.
-  RecordQueryStats(options_, graph_, prepared, cache_hit,
-                   total_clock.ElapsedMs(),
-                   out.ok() ? out->rows.size() : 0, observed.seeds,
-                   observed.steps, /*error=*/!out.ok(),
-                   /*truncated=*/out.ok() && out->truncated,
-                   /*batch_engaged=*/observed.batch_blocks > 0);
-  return out;
-}
-
-Result<MatchOutput> Engine::ExecutePlanImpl(
-    const planner::CachedPlan& prepared, bool cache_hit,
-    std::shared_ptr<const Params> params,
-    std::vector<planner::DeclActual>* actuals, double parse_ms,
-    ExecObserved* observed) const {
-  obs::Stopwatch total_clock;
+Result<MatchOutput> Engine::ExecutePlan(const planner::CachedPlan& prepared,
+                                        std::shared_ptr<const Params> params,
+                                        ExecRecord* rec) const {
+  // kBatch cursors time the materialization, not the open.
+  rec->start_us = obs::MonotonicMicros();
   MatchOutput out;
-  if (options_.metrics != nullptr) *options_.metrics = {};
   out.normalized = prepared.normalized;
   out.vars = prepared.vars;
   out.params = std::move(params);
   const planner::Plan& plan = prepared.plan;
   const bool truncate =
       options_.on_budget == EngineOptions::BudgetPolicy::kTruncate;
-
-  const size_t num_workers = ResolvedThreads();
-  MatcherOptions matcher_options = options_.matcher;
-  matcher_options.num_threads = num_workers;
-  matcher_options.use_csr = options_.use_csr;
-  matcher_options.use_batch = options_.use_batch;
-
-  // One trace per execution: the caller's, or a local one when only a sink
-  // or the slow-query log will consume it.
-  const bool slow_enabled = options_.slow_query_ms >= 0;
-  obs::Trace local_trace;
-  obs::Trace* tr = options_.trace;
-  if (tr == nullptr && (options_.trace_sink != nullptr || slow_enabled)) {
-    tr = &local_trace;
-  }
-  if (tr != nullptr) tr->Clear();
-  // Slow-query capture renders EXPLAIN ANALYZE, so collect per-declaration
-  // actuals locally even when the caller passed none.
-  std::vector<planner::DeclActual> local_actuals;
-  if (actuals == nullptr && slow_enabled) actuals = &local_actuals;
-
-  // Compile cost this execution paid: parsing always runs (the fingerprint
-  // needs a parsed pattern); the normalize/plan/compile half was only paid
-  // on a cache miss — hits replay the entry's stored costs into the trace.
-  const double compile_ms =
-      prepared.analyze_ms + prepared.plan_ms + prepared.compile_ms;
-  const double paid_plan_ms = parse_ms + (cache_hit ? 0.0 : compile_ms);
-
-  int root = obs::Trace::kNoParent;
-  if (tr != nullptr) {
-    root = tr->Begin("query");
-    tr->Attr(root, "threads", std::to_string(num_workers));
-    tr->Attr(root, "cached", cache_hit ? "true" : "false");
-    if (!options_.tenant.empty()) tr->Attr(root, "tenant", options_.tenant);
-    if (!options_.trace_id.empty()) {
-      tr->Attr(root, "trace_id", options_.trace_id);
-    }
-    if (parse_ms > 0) {
-      tr->AddComplete("parse", root, 0, MsToUs(parse_ms));
-    }
-    int plan_span = tr->AddComplete("plan", root, 0, MsToUs(compile_ms));
-    tr->Attr(plan_span, "cached", cache_hit ? "true" : "false");
-  }
-
-  if (options_.metrics != nullptr) {
-    options_.metrics->threads = num_workers;
-    options_.metrics->plan_ms = paid_plan_ms;
-    if (cache_hit) {
-      options_.metrics->plan_cache_hits = 1;
-    } else {
-      options_.metrics->plan_cache_misses = 1;
-    }
-  }
-
-  // Registry aggregates (published at the end, for completed executions);
-  // tracked locally so publication does not depend on options_.metrics.
-  // Seeds/steps/batch-blocks accumulate through `observed` so the
-  // ExecutePlan wrapper sees partial work after an error return.
-  size_t& agg_seeded = observed->seeds;
-  size_t& agg_steps = observed->steps;
-  size_t& agg_batch_blocks = observed->batch_blocks;
-  size_t agg_reversed = 0, agg_bound = 0, agg_indexed = 0;
-  size_t agg_batch_candidates = 0, agg_batch_survivors = 0;
-  double seed_ms_total = 0, match_ms_total = 0, join_ms_total = 0;
+  const MatcherOptions matcher_options =
+      ExecMatcherOptions(options_, rec->totals.threads);
 
   // Evaluate every path declaration independently (§6.5) in plan order,
   // then join. The planner may mirror a declaration (anchor at its right
   // end) or seed it from the bindings of earlier declarations; both are
-  // result-preserving (see docs/planner.md).
+  // result-preserving (see docs/planner.md). Errors stop the pipeline but
+  // still reach the publication below, with the work spent so far.
   const size_t num_decls = plan.decls.size();
   out.path_vars.assign(num_decls, -1);
-  bool first = true;
   std::vector<ResultRow> rows;
+  Status status;
   // Analyzer-proven empty pattern (docs/analysis.md): skip seeding, matching
-  // and joining entirely — the loop guard below keeps the tail of this
-  // function (reorder, filter, metrics publication, tracing) running over
-  // zero rows, so the execution still publishes its counters (0 seeds,
-  // 0 matcher steps, 0 rows) and a complete trace.
-  const bool always_empty = prepared.always_empty;
-  for (size_t plan_pos = 0; !always_empty && plan_pos < num_decls;
+  // and joining entirely; the execution still publishes its counters (0
+  // seeds, 0 matcher steps, 0 rows) and a complete trace.
+  for (size_t plan_pos = 0; !prepared.always_empty && plan_pos < num_decls;
        ++plan_pos) {
     const planner::DeclPlan& dp = plan.decls[plan_pos];
     const PathPatternDecl& decl = dp.decl;
-    int decl_span = obs::Trace::kNoParent;
-    if (tr != nullptr) {
-      decl_span = tr->Begin("decl", root);
-      tr->Attr(decl_span, "decl", std::to_string(dp.decl_index));
-    }
     out.path_vars[static_cast<size_t>(dp.decl_index)] =
         decl.path_var.empty() ? -1 : out.vars->Find(decl.path_var);
 
@@ -787,7 +842,7 @@ Result<MatchOutput> Engine::ExecutePlanImpl(
     // starts the pattern's first node check would reject anyway.
     std::vector<NodeId> seed_filter;
     const std::vector<NodeId>* filter = nullptr;
-    bool use_filter = !first && dp.seed_bound_var >= 0;
+    bool use_filter = plan_pos > 0 && dp.seed_bound_var >= 0;
     bool use_index = false;
     if (use_filter) {
       std::unordered_set<NodeId> distinct;
@@ -815,186 +870,91 @@ Result<MatchOutput> Engine::ExecutePlanImpl(
       // predicate itself filters (to nothing — `= NULL` is never true).
     }
 
+    rec->BeginDecl(dp.reversed, use_index, use_filter);
     MatchStats match_stats;
     bool decl_truncated = false;
-    GPML_ASSIGN_OR_RETURN(
-        MatchSet match,
+    Result<MatchSet> match =
         RunPattern(graph_, program, *out.vars, matcher_options, filter,
                    &match_stats, out.params.get(), /*shared_budget=*/nullptr,
-                   truncate ? &decl_truncated : nullptr));
-    if (decl_truncated) out.truncated = true;
-    if (dp.reversed) planner::UnreverseMatchSet(&match);
-
-    agg_seeded += match_stats.seeds;
-    agg_steps += match_stats.steps;
-    agg_batch_blocks += match_stats.batch_blocks;
-    agg_batch_candidates += match_stats.batch_candidates;
-    agg_batch_survivors += match_stats.batch_survivors;
-    if (dp.reversed) ++agg_reversed;
-    if (use_filter) ++agg_bound;
-    if (use_index) ++agg_indexed;
-    seed_ms_total += match_stats.seed_ms;
-    match_ms_total += match_stats.match_ms;
-
-    if (options_.metrics != nullptr) {
-      EngineMetrics& m = *options_.metrics;
-      ++m.decls;
-      m.seeded_nodes += match_stats.seeds;
-      m.matcher_steps += match_stats.steps;
-      m.batch_blocks += match_stats.batch_blocks;
-      m.batch_candidates += match_stats.batch_candidates;
-      m.batch_survivors += match_stats.batch_survivors;
-      if (dp.reversed) ++m.reversed_decls;
-      if (use_filter) ++m.seed_filtered_decls;
-      if (use_index) ++m.index_seeded_decls;
-      m.seed_ms += match_stats.seed_ms;
-      m.exec_ms += match_stats.match_ms;
+                   truncate ? &decl_truncated : nullptr);
+    rec->Accumulate(match_stats, match.ok() ? match->bindings.size() : 0);
+    if (!match.ok()) {
+      status = match.status();
+      break;
     }
-    if (actuals != nullptr) {
-      planner::DeclActual a;
-      a.seeds = match_stats.seeds;
-      a.steps = match_stats.steps;
-      a.bindings = match.bindings.size();
-      a.index_seeded = use_index;
-      a.seed_filtered = use_filter;
-      a.ms = match_stats.match_ms;
-      actuals->push_back(a);
-    }
-    if (tr != nullptr) {
-      // Seed and shard children reconstructed from the matcher's measured
-      // wall times (the trace is single-threaded; workers never touch it).
-      tr->Attr(decl_span, "source",
-               use_index ? "index" : (use_filter ? "bound" : "scan"));
-      uint64_t decl_start = tr->spans()[decl_span].start_us;
-      tr->AddComplete("seed", decl_span, decl_start,
-                      MsToUs(match_stats.seed_ms));
-      uint64_t shard_start = decl_start + MsToUs(match_stats.seed_ms);
-      for (size_t s = 0; s < match_stats.shard_ms.size(); ++s) {
-        int shard_span = tr->AddComplete("shard", decl_span, shard_start,
-                                         MsToUs(match_stats.shard_ms[s]));
-        tr->Attr(shard_span, "shard", std::to_string(s));
-      }
-      tr->End(decl_span);
-    }
+    if (decl_truncated) rec->totals.budget_truncated = 1;
+    if (dp.reversed) planner::UnreverseMatchSet(&*match);
 
     std::vector<std::shared_ptr<const PathBinding>> bindings;
-    bindings.reserve(match.bindings.size());
-    for (PathBinding& pb : match.bindings) {
+    bindings.reserve(match->bindings.size());
+    for (PathBinding& pb : match->bindings) {
       bindings.push_back(std::make_shared<const PathBinding>(std::move(pb)));
     }
 
-    if (first) {
+    if (plan_pos == 0) {
       rows.reserve(bindings.size());
       for (auto& b : bindings) {
         ResultRow r;
         r.bindings.push_back(std::move(b));
         rows.push_back(std::move(r));
       }
-      first = false;
       continue;
     }
 
-    int join_span =
-        tr != nullptr ? tr->Begin("join", root) : obs::Trace::kNoParent;
     obs::Stopwatch join_clock;
     bool join_truncated = false;
-    GPML_ASSIGN_OR_RETURN(
-        rows, JoinDecl(std::move(rows), bindings, dp.join_vars,
-                       options_.max_rows, truncate, &join_truncated));
-    join_ms_total += join_clock.ElapsedMs();
-    if (tr != nullptr) tr->End(join_span);
-    if (join_truncated) out.truncated = true;
+    Result<std::vector<ResultRow>> joined =
+        JoinDecl(std::move(rows), bindings, dp.join_vars, options_.max_rows,
+                 truncate, &join_truncated);
+    rec->decls.back().join_ms = join_clock.ElapsedMs();
+    rec->join_ms += rec->decls.back().join_ms;
+    if (!joined.ok()) {
+      status = joined.status();
+      break;
+    }
+    rows = std::move(*joined);
+    if (join_truncated) rec->totals.budget_truncated = 1;
   }
 
-  // Row bindings were accumulated in plan execution order; restore source
-  // declaration order so hosts and RowScope index them by declaration.
-  bool reordered = false;
-  for (size_t i = 0; i < num_decls; ++i) {
-    if (plan.decls[i].decl_index != static_cast<int>(i)) reordered = true;
-  }
-  if (reordered) {
-    for (ResultRow& row : rows) {
-      std::vector<std::shared_ptr<const PathBinding>> ordered(num_decls);
-      for (size_t i = 0; i < num_decls; ++i) {
-        ordered[static_cast<size_t>(plan.decls[i].decl_index)] =
-            std::move(row.bindings[i]);
+  if (status.ok()) {
+    // Row bindings were accumulated in plan execution order; restore source
+    // declaration order so hosts and RowScope index them by declaration.
+    bool reordered = false;
+    for (size_t i = 0; i < num_decls; ++i) {
+      if (plan.decls[i].decl_index != static_cast<int>(i)) reordered = true;
+    }
+    if (reordered) {
+      for (ResultRow& row : rows) {
+        std::vector<std::shared_ptr<const PathBinding>> ordered(num_decls);
+        for (size_t i = 0; i < num_decls; ++i) {
+          ordered[static_cast<size_t>(plan.decls[i].decl_index)] =
+              std::move(row.bindings[i]);
+        }
+        row.bindings = std::move(ordered);
       }
-      row.bindings = std::move(ordered);
     }
+
+    // Per-row tail: match-mode filter (§7.1) and the final WHERE (§5.2) —
+    // the same RowSurvives the cursor paths stream through.
+    obs::Stopwatch filter_clock;
+    out.rows.reserve(rows.size());
+    for (ResultRow& row : rows) {
+      Result<bool> keep = RowSurvives(out, graph_, row);
+      if (!keep.ok()) {
+        status = keep.status();
+        break;
+      }
+      if (*keep) out.rows.push_back(std::move(row));
+    }
+    rec->filter_ms = filter_clock.ElapsedMs();
   }
 
-  // Per-row tail: match-mode filter (§7.1) and the final WHERE (§5.2) —
-  // the same RowSurvives the cursor paths stream through.
-  int filter_span =
-      tr != nullptr ? tr->Begin("filter", root) : obs::Trace::kNoParent;
-  obs::Stopwatch filter_clock;
-  std::vector<ResultRow> surviving;
-  surviving.reserve(rows.size());
-  for (ResultRow& row : rows) {
-    GPML_ASSIGN_OR_RETURN(bool keep, RowSurvives(out, graph_, row));
-    if (keep) surviving.push_back(std::move(row));
-  }
-  out.rows = std::move(surviving);
-  const double filter_ms = filter_clock.ElapsedMs();
-  if (tr != nullptr) tr->End(filter_span);
-
-  if (options_.metrics != nullptr) {
-    options_.metrics->rows = out.rows.size();
-    options_.metrics->budget_truncated = out.truncated ? 1 : 0;
-  }
-
-  // Observability publication — completed executions only (every error
-  // above returned before reaching this point).
-  if (tr != nullptr) {
-    tr->Attr(root, "rows", std::to_string(out.rows.size()));
-    tr->End(root);
-  }
-  const double total_ms = total_clock.ElapsedMs();
-  if (options_.publish_metrics) {
-    std::shared_ptr<obs::MetricsRegistry> registry = graph_.metrics_registry();
-    registry->GetCounter("gpml_executions_total")->Increment();
-    registry->GetCounter("gpml_decls_total")->Increment(num_decls);
-    registry->GetCounter("gpml_seeded_nodes_total")->Increment(agg_seeded);
-    registry->GetCounter("gpml_matcher_steps_total")->Increment(agg_steps);
-    registry->GetCounter("gpml_reversed_decls_total")->Increment(agg_reversed);
-    registry->GetCounter("gpml_seed_filtered_decls_total")
-        ->Increment(agg_bound);
-    registry->GetCounter("gpml_index_seeded_decls_total")
-        ->Increment(agg_indexed);
-    registry->GetCounter("gpml_rows_total")->Increment(out.rows.size());
-    registry->GetCounter("gpml_budget_truncated_total")
-        ->Increment(out.truncated ? 1 : 0);
-    registry->GetCounter("gpml_batch_blocks_total")
-        ->Increment(agg_batch_blocks);
-    if (agg_batch_candidates > 0) {
-      registry->GetHistogram("gpml_batch_survivor_rate")
-          ->Observe(100.0 * static_cast<double>(agg_batch_survivors) /
-                    static_cast<double>(agg_batch_candidates));
-    }
-    registry->GetHistogram(kStagePlan)->Observe(MsToUs(paid_plan_ms));
-    registry->GetHistogram(kStageSeed)->Observe(MsToUs(seed_ms_total));
-    registry->GetHistogram(kStageMatch)->Observe(MsToUs(match_ms_total));
-    registry->GetHistogram(kStageJoin)->Observe(MsToUs(join_ms_total));
-    registry->GetHistogram(kStageFilter)->Observe(MsToUs(filter_ms));
-    registry->GetHistogram("gpml_query_duration_us")->Observe(MsToUs(total_ms));
-    if (slow_enabled && total_ms > options_.slow_query_ms) {
-      registry->GetCounter("gpml_slow_queries_total")->Increment();
-    }
-  }
-  if (options_.trace_sink != nullptr) options_.trace_sink->Emit(*tr);
-  if (slow_enabled && total_ms > options_.slow_query_ms) {
-    planner::ExplainExec exec;
-    exec.threads = num_workers;
-    exec.cached = cache_hit;
-    exec.batch = options_.use_batch ? kBatchBlockTarget : 0;
-    exec.analyzed = true;
-    exec.rows = out.rows.size();
-    exec.truncated = out.truncated;
-    exec.total_ms = total_ms;
-    exec.plan_ms = paid_plan_ms;
-    CaptureSlowQuery(options_, graph_, prepared, exec, actuals, tr, total_ms,
-                     out.rows.size());
-  }
+  out.truncated = rec->truncated();
+  rec->totals.rows = status.ok() ? out.rows.size() : 0;
+  rec->Finish();
+  if (options_.metrics != nullptr) *options_.metrics = rec->totals;
+  Publish(options_, graph_, prepared, *rec, /*error=*/!status.ok());
+  if (!status.ok()) return status;
   return out;
 }
 
@@ -1017,8 +977,8 @@ Result<MatchOutput> PreparedQuery::Execute(const Params& params) const {
   std::shared_ptr<const Params> shared =
       params.empty() ? nullptr : std::make_shared<const Params>(params);
   Engine engine(*graph_, options_);
-  return engine.ExecutePlan(*plan_, cache_hit_, std::move(shared),
-                            /*actuals=*/nullptr, parse_ms_);
+  ExecRecord rec(*plan_, cache_hit_, parse_ms_, engine.ResolvedThreads());
+  return engine.ExecutePlan(*plan_, std::move(shared), &rec);
 }
 
 Result<Cursor> PreparedQuery::Open(const Params& params) const {
@@ -1035,11 +995,9 @@ Result<Cursor> PreparedQuery::Open(const Params& params,
 }
 
 Result<std::string> PreparedQuery::Explain() const {
-  Engine engine(*graph_, options_);
-  planner::ExplainExec exec;
-  exec.threads = engine.ResolvedThreads();
-  exec.cached = cache_hit_;
-  exec.batch = options_.use_batch ? kBatchBlockTarget : 0;
+  planner::ExplainExec exec = ExecLine(
+      Engine(*graph_, options_).ResolvedThreads(), cache_hit_,
+      options_.use_batch);
   return planner::ExplainPlan(plan_->plan, *plan_->vars, /*stats=*/nullptr,
                               &exec, /*actuals=*/nullptr,
                               &plan_->diagnostics);
@@ -1056,10 +1014,9 @@ Cursor::Cursor(const PropertyGraph& graph, EngineOptions options,
     : graph_(&graph),
       options_(std::move(options)),
       plan_(std::move(plan)),
-      cache_hit_(cache_hit),
       limit_(limit),
-      parse_ms_(parse_ms),
-      open_us_(obs::MonotonicMicros()) {
+      record_(*plan_, cache_hit, parse_ms,
+              Engine(graph, options_).ResolvedThreads()) {
   context_.normalized = plan_->normalized;
   context_.vars = plan_->vars;
   context_.params = std::move(params);
@@ -1083,48 +1040,31 @@ Cursor::Cursor(const PropertyGraph& graph, EngineOptions options,
       p.decls[0].decl.selector.IsNone() &&
       FixedPatternLength(*p.decls[0].decl.pattern).has_value()) {
     mode_ = Mode::kStream;
+    record_.stream = true;
     const planner::DeclPlan& dp = p.decls[0];
-    stream_reversed_ = dp.reversed;
     const std::vector<NodeId>* filter = nullptr;
     if (p.planner_used && dp.anchor.has_index()) {
       const Value* idx_value =
           ResolveIndexValue(dp.anchor, context_.params.get());
       if (idx_value != nullptr) {
-        stream_index_seeded_ = true;
         filter = &graph.IndexedNodes(dp.anchor.label, dp.anchor.index_prop,
                                      *idx_value);
       }
     }
+    record_.BeginDecl(dp.reversed, /*index_seeded=*/filter != nullptr,
+                      /*seed_filtered=*/false);
+    MatchStats open_stats;
     obs::Stopwatch seed_clock;
     seeds_ = ComputeSeeds(graph, *plan_->programs[0], filter);
-    seed_ms_total_ = seed_clock.ElapsedMs();
+    open_stats.seed_ms = seed_clock.ElapsedMs();
+    record_.Accumulate(open_stats, /*bindings=*/0);
     chunk_size_ = kFirstChunkSeeds;
     // One budget across all chunks: the stream can never execute more
     // steps or accept more matches than a single materializing call.
     budget_ = std::make_unique<SharedBudget>(options_.matcher.max_steps,
                                              options_.matcher.max_matches);
   }
-
-  if (options_.metrics != nullptr) {
-    *options_.metrics = {};
-    Engine engine(*graph_, options_);
-    options_.metrics->threads = engine.ResolvedThreads();
-    options_.metrics->plan_ms =
-        parse_ms_ + (cache_hit_ ? 0.0
-                                : plan_->analyze_ms + plan_->plan_ms +
-                                      plan_->compile_ms);
-    if (cache_hit_) {
-      options_.metrics->plan_cache_hits = 1;
-    } else {
-      options_.metrics->plan_cache_misses = 1;
-    }
-    if (mode_ == Mode::kStream) {
-      options_.metrics->decls = 1;
-      options_.metrics->seed_ms = seed_ms_total_;
-      if (stream_reversed_) options_.metrics->reversed_decls = 1;
-      if (stream_index_seeded_) options_.metrics->index_seeded_decls = 1;
-    }
-  }
+  if (options_.metrics != nullptr) *options_.metrics = record_.totals;
 }
 
 Status Cursor::FillChunk() {
@@ -1140,43 +1080,22 @@ Status Cursor::FillChunk() {
   seed_pos_ += count;
   chunk_size_ = std::min(chunk_size_ * 2, kMaxChunkSeeds);
 
-  Engine engine(*graph_, options_);
-  MatcherOptions matcher_options = options_.matcher;
-  matcher_options.num_threads = engine.ResolvedThreads();
-  matcher_options.use_csr = options_.use_csr;
-  matcher_options.use_batch = options_.use_batch;
-
   const bool truncate =
       options_.on_budget == EngineOptions::BudgetPolicy::kTruncate;
   MatchStats stats;
   bool exhausted = false;
-  Result<MatchSet> match =
-      RunPattern(*graph_, program, *context_.vars, matcher_options, &chunk,
-                 &stats, context_.params.get(), budget_.get(),
-                 truncate ? &exhausted : nullptr);
-  // Record the matcher work even when the run errored: RunPattern fills
-  // `stats` with the steps actually spent before a budget refusal, and
-  // downstream accounting (the server's per-tenant step charging) must see
-  // them — a query that dies on its step cap still did that work.
-  seeds_total_ += stats.seeds;
-  steps_total_ += stats.steps;
-  batch_blocks_total_ += stats.batch_blocks;
-  batch_candidates_total_ += stats.batch_candidates;
-  batch_survivors_total_ += stats.batch_survivors;
-  seed_ms_total_ += stats.seed_ms;
-  exec_ms_total_ += stats.match_ms;
-  if (options_.metrics != nullptr) {
-    options_.metrics->seeded_nodes += stats.seeds;
-    options_.metrics->matcher_steps += stats.steps;
-    options_.metrics->batch_blocks += stats.batch_blocks;
-    options_.metrics->batch_candidates += stats.batch_candidates;
-    options_.metrics->batch_survivors += stats.batch_survivors;
-    options_.metrics->seed_ms += stats.seed_ms;
-    options_.metrics->exec_ms += stats.match_ms;
-  }
+  Result<MatchSet> match = RunPattern(
+      *graph_, program, *context_.vars,
+      ExecMatcherOptions(options_, record_.totals.threads), &chunk, &stats,
+      context_.params.get(), budget_.get(), truncate ? &exhausted : nullptr);
+  // Recorded even when the run errored: RunPattern reports the steps spent
+  // before a budget refusal, and downstream accounting (the server's
+  // per-tenant step charging) must see them.
+  record_.Accumulate(stats, match.ok() ? match->bindings.size() : 0);
   if (!match.ok()) return match.status();
   if (dp.reversed) planner::UnreverseMatchSet(&*match);
 
+  obs::Stopwatch filter_clock;
   for (PathBinding& pb : match->bindings) {
     ResultRow row;
     row.bindings.push_back(
@@ -1185,42 +1104,37 @@ Status Cursor::FillChunk() {
     if (!keep.ok()) return keep.status();
     if (*keep) staged_.push_back(std::move(row));
   }
+  record_.filter_ms += filter_clock.ElapsedMs();
 
   if (exhausted) {
-    truncated_ = true;
+    record_.totals.budget_truncated = 1;
     context_.truncated = true;
     seed_pos_ = seeds_.size();  // No further chunks.
-    if (options_.metrics != nullptr) {
-      options_.metrics->budget_truncated = 1;
-    }
   }
   return Status::OK();
 }
 
 Status Cursor::FillBatch() {
   batch_ran_ = true;
-  Engine engine(*graph_, options_);
-  Result<MatchOutput> out =
-      engine.ExecutePlan(*plan_, cache_hit_, context_.params,
-                         /*actuals=*/nullptr, parse_ms_);
+  Result<MatchOutput> out = Engine(*graph_, options_)
+                                .ExecutePlan(*plan_, context_.params, &record_);
   if (!out.ok()) return out.status();
-  truncated_ = out->truncated;
   context_.truncated = out->truncated;
   staged_ = std::move(out->rows);
   staged_pos_ = 0;
-  // ExecutePlan reported the materialized count; the cursor contract is
+  // ExecutePlan recorded the materialized count; the cursor contract is
   // rows *emitted so far*, counted per pull in Next for both modes.
-  if (options_.metrics != nullptr) options_.metrics->rows = 0;
+  record_.totals.rows = 0;
   return Status::OK();
 }
 
 Result<bool> Cursor::Next(RowView* view) {
   if (!status_.ok()) return status_;
-  if (limit_.has_value() && emitted_ >= *limit_) {
+  if (limit_.has_value() && record_.totals.rows >= *limit_) {
     if (!done_) {
       done_ = true;
       hit_limit_ = true;
-      FinishStream();
+      FinishStream(/*error=*/false);
     }
     return false;
   }
@@ -1228,7 +1142,7 @@ Result<bool> Cursor::Next(RowView* view) {
   while (true) {
     if (staged_pos_ < staged_.size()) {
       current_ = std::move(staged_[staged_pos_++]);
-      ++emitted_;
+      ++record_.totals.rows;
       if (options_.metrics != nullptr) ++options_.metrics->rows;
       view->row = &current_;
       view->context = &context_;
@@ -1243,115 +1157,25 @@ Result<bool> Cursor::Next(RowView* view) {
     } else {
       if (seed_pos_ >= seeds_.size()) {
         done_ = true;
-        FinishStream();
+        FinishStream(/*error=*/false);
         return false;
       }
       status_ = FillChunk();
     }
+    if (options_.metrics != nullptr) *options_.metrics = record_.totals;
     if (!status_.ok()) {
       done_ = true;
-      // kStream errors bypass FinishStream (no clean completion to
-      // publish), but the workload store still counts them; kBatch
-      // errors were already recorded inside ExecutePlan.
-      RecordStreamStats(/*error=*/true);
+      FinishStream(/*error=*/true);
       return status_;
     }
   }
 }
 
-void Cursor::FinishStream() {
+void Cursor::FinishStream(bool error) {
   if (published_ || mode_ != Mode::kStream) return;
   published_ = true;
-  const double total_ms =
-      static_cast<double>(obs::MonotonicMicros() - open_us_) / 1e3;
-  const double compile_ms =
-      plan_->analyze_ms + plan_->plan_ms + plan_->compile_ms;
-  const double paid_plan_ms = parse_ms_ + (cache_hit_ ? 0.0 : compile_ms);
-  const bool slow_enabled = options_.slow_query_ms >= 0;
-
-  // Streams have no live span nesting (work happened across pulls), so the
-  // trace is reconstructed flat from the accumulated stage totals.
-  obs::Trace local_trace;
-  obs::Trace* tr = options_.trace;
-  if (tr == nullptr && (options_.trace_sink != nullptr || slow_enabled)) {
-    tr = &local_trace;
-  }
-  if (tr != nullptr) {
-    tr->Clear();
-    int root = tr->AddComplete("query", obs::Trace::kNoParent, 0,
-                               MsToUs(total_ms));
-    tr->Attr(root, "mode", "stream");
-    tr->Attr(root, "cached", cache_hit_ ? "true" : "false");
-    tr->Attr(root, "rows", std::to_string(emitted_));
-    if (!options_.tenant.empty()) tr->Attr(root, "tenant", options_.tenant);
-    if (!options_.trace_id.empty()) {
-      tr->Attr(root, "trace_id", options_.trace_id);
-    }
-    if (parse_ms_ > 0) {
-      tr->AddComplete("parse", root, 0, MsToUs(parse_ms_));
-    }
-    int plan_span = tr->AddComplete("plan", root, 0, MsToUs(compile_ms));
-    tr->Attr(plan_span, "cached", cache_hit_ ? "true" : "false");
-    tr->AddComplete("seed", root, 0, MsToUs(seed_ms_total_));
-    tr->AddComplete("match", root, 0, MsToUs(exec_ms_total_));
-  }
-
-  if (options_.publish_metrics) {
-    std::shared_ptr<obs::MetricsRegistry> registry =
-        graph_->metrics_registry();
-    registry->GetCounter("gpml_executions_total")->Increment();
-    registry->GetCounter("gpml_decls_total")->Increment(1);
-    registry->GetCounter("gpml_seeded_nodes_total")->Increment(seeds_total_);
-    registry->GetCounter("gpml_matcher_steps_total")->Increment(steps_total_);
-    registry->GetCounter("gpml_reversed_decls_total")
-        ->Increment(stream_reversed_ ? 1 : 0);
-    registry->GetCounter("gpml_index_seeded_decls_total")
-        ->Increment(stream_index_seeded_ ? 1 : 0);
-    registry->GetCounter("gpml_rows_total")->Increment(emitted_);
-    registry->GetCounter("gpml_budget_truncated_total")
-        ->Increment(truncated_ ? 1 : 0);
-    registry->GetCounter("gpml_batch_blocks_total")
-        ->Increment(batch_blocks_total_);
-    if (batch_candidates_total_ > 0) {
-      registry->GetHistogram("gpml_batch_survivor_rate")
-          ->Observe(100.0 * static_cast<double>(batch_survivors_total_) /
-                    static_cast<double>(batch_candidates_total_));
-    }
-    registry->GetHistogram(kStagePlan)->Observe(MsToUs(paid_plan_ms));
-    registry->GetHistogram(kStageSeed)->Observe(MsToUs(seed_ms_total_));
-    registry->GetHistogram(kStageMatch)->Observe(MsToUs(exec_ms_total_));
-    registry->GetHistogram("gpml_query_duration_us")
-        ->Observe(MsToUs(total_ms));
-    if (slow_enabled && total_ms > options_.slow_query_ms) {
-      registry->GetCounter("gpml_slow_queries_total")->Increment();
-    }
-  }
-  if (options_.trace_sink != nullptr) options_.trace_sink->Emit(*tr);
-  if (slow_enabled && total_ms > options_.slow_query_ms) {
-    planner::ExplainExec exec;
-    Engine engine(*graph_, options_);
-    exec.threads = engine.ResolvedThreads();
-    exec.cached = cache_hit_;
-    exec.batch = options_.use_batch ? kBatchBlockTarget : 0;
-    exec.analyzed = true;
-    exec.rows = emitted_;
-    exec.truncated = truncated_;
-    exec.total_ms = total_ms;
-    exec.plan_ms = paid_plan_ms;
-    CaptureSlowQuery(options_, *graph_, *plan_, exec, /*actuals=*/nullptr,
-                     tr, total_ms, emitted_);
-  }
-  RecordStreamStats(/*error=*/false);
-}
-
-void Cursor::RecordStreamStats(bool error) {
-  if (stats_recorded_ || mode_ != Mode::kStream) return;
-  stats_recorded_ = true;
-  const double total_ms =
-      static_cast<double>(obs::MonotonicMicros() - open_us_) / 1e3;
-  RecordQueryStats(options_, *graph_, *plan_, cache_hit_, total_ms, emitted_,
-                   seeds_total_, steps_total_, error, truncated_,
-                   /*batch_engaged=*/batch_blocks_total_ > 0);
+  record_.Finish();
+  Publish(options_, *graph_, *plan_, record_, error);
 }
 
 Result<MatchOutput> Cursor::Drain() {
@@ -1362,7 +1186,7 @@ Result<MatchOutput> Cursor::Drain() {
     if (!more) break;
     out.rows.push_back(*view.row);
   }
-  out.truncated = truncated_;
+  out.truncated = record_.truncated();
   return out;
 }
 

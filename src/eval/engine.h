@@ -30,16 +30,16 @@ namespace gpml {
 /// compare these with the planner on and off.
 ///
 /// Deliberately plain scalar fields (the benchmarks depend on the struct
-/// staying POD): nothing increments them during execution. Worker shards
-/// count into shard-local MatchStats and the totals are merged into this
-/// struct once per declaration, after all shards have joined — so a
-/// num_threads > 1 run never races on these fields. Cursor streams update
-/// the struct between pulls (single-threaded caller context).
+/// staying POD): nothing increments them during execution. The struct is
+/// assigned from the execution's ExecRecord — after every declaration's
+/// shards have joined, so a num_threads > 1 run never races on these
+/// fields, and between pulls for Cursor streams (single-threaded caller
+/// context). A failed execution leaves the work it spent before failing.
 ///
 /// Reset-on-execute: every execution (including Cursor construction, which
-/// starts a stream) zeroes the struct before filling it, so the fields
-/// always describe the latest execution — a cursor's counters grow as rows
-/// are pulled and are final when the stream ends (docs/observability.md).
+/// starts a stream) overwrites the struct, so the fields always describe
+/// the latest execution — a cursor's counters grow as rows are pulled and
+/// are final when the stream ends (docs/observability.md).
 struct EngineMetrics {
   size_t decls = 0;                // Path declarations executed.
   size_t seeded_nodes = 0;         // Start nodes seeded, summed over decls.
@@ -134,16 +134,17 @@ struct EngineOptions {
   /// delivers the rows found so far with MatchOutput::truncated (or
   /// Cursor::truncated()) set and EngineMetrics::budget_truncated = 1 —
   /// never silently: a capped result is always either an error or a
-  /// flagged partial. Truncated row sets are best-effort (deterministic
-  /// only for single-shard runs); full results are unaffected.
+  /// flagged partial. A declaration's match set cut by max_steps is a
+  /// seed-order prefix of its full one (how long a prefix depends on shard
+  /// timing at num_threads > 1); full results are unaffected.
   enum class BudgetPolicy { kError, kTruncate };
   BudgetPolicy on_budget = BudgetPolicy::kError;
   /// When non-null, reset and filled on every execution.
   EngineMetrics* metrics = nullptr;
-  /// When non-null, cleared and refilled with this execution's span tree:
-  /// parse/plan (replayed from the plan-cache entry's stored compile
-  /// costs), per-declaration seed and worker-shard spans, join, and the
-  /// final filter (docs/observability.md lists the taxonomy). Not
+  /// When non-null, cleared and refilled with each completed execution's
+  /// span tree: parse/plan (replayed from the plan-cache entry's stored
+  /// compile costs), per-declaration seed and worker-shard spans, join,
+  /// and the final filter (docs/observability.md lists the taxonomy). Not
   /// thread-safe — one trace per concurrently executing call.
   obs::Trace* trace = nullptr;
   /// When non-null, every completed execution's trace is emitted here as
@@ -231,6 +232,37 @@ class RowScope : public EvalScope {
 
 class Cursor;
 class Engine;
+
+/// Engine-internal: the one ledger of an execution — PreparedQuery::Execute
+/// or a Cursor stream. Accumulate folds in every RunPattern call (per
+/// declaration when materializing, per seed chunk when streaming), the
+/// join and filter stages add their times, EngineOptions::metrics is
+/// assigned from `totals`, and the engine publishes the record once when
+/// the execution ends: registry, trace, slow-query capture, and query
+/// stats (docs/observability.md).
+struct ExecRecord {
+  /// Starts the clock; `parse_ms` is the already-paid text-parse cost.
+  ExecRecord(const planner::CachedPlan& plan, bool cache_hit, double parse_ms,
+             size_t threads);
+
+  /// Opens the next declaration's actuals (plan order).
+  void BeginDecl(bool reversed, bool index_seeded, bool seed_filtered);
+  /// Folds one RunPattern call into the open declaration and the totals.
+  void Accumulate(const MatchStats& stats, size_t bindings);
+  /// Stops the clock (total_ms).
+  void Finish();
+  bool cache_hit() const { return totals.plan_cache_hits != 0; }
+  bool truncated() const { return totals.budget_truncated != 0; }
+
+  EngineMetrics totals;  // rows: delivered (cursor: emitted so far).
+  std::vector<planner::DeclActual> decls;  // Plan order.
+  uint64_t start_us = 0;  // Monotonic start of the execution.
+  bool stream = false;    // A kStream cursor (trace root: mode=stream).
+  double parse_ms = 0;
+  double join_ms = 0;
+  double filter_ms = 0;
+  double total_ms = 0;
+};
 
 /// A non-owning view of one streamed result row: the row itself plus the
 /// compiled context needed to interpret it (`context->rows` stays empty —
@@ -353,11 +385,11 @@ class Cursor {
   const MatchOutput& context() const { return context_; }
 
   /// Rows delivered so far.
-  size_t rows_emitted() const { return emitted_; }
+  size_t rows_emitted() const { return record_.totals.rows; }
 
   /// True when the stream was cut short by an evaluation budget under
   /// BudgetPolicy::kTruncate — distinct from hit_limit().
-  bool truncated() const { return truncated_; }
+  bool truncated() const { return record_.truncated(); }
 
   /// True when the stream stopped because `limit` rows were delivered.
   bool hit_limit() const { return hit_limit_; }
@@ -414,30 +446,19 @@ class Cursor {
   Status FillChunk();
   /// Runs the whole batch pipeline (kBatch) and stages surviving rows.
   Status FillBatch();
-  /// One-shot observability publication when a kStream stream completes
-  /// cleanly (end of seeds, LIMIT, or flagged truncation): registry
-  /// counters/histograms, trace emission, slow-query capture. kBatch
-  /// streams publish through ExecutePlan instead; errored or abandoned
-  /// streams publish nothing (docs/observability.md).
-  void FinishStream();
-  /// Folds this stream into the query-stats store (kStream only; kBatch
-  /// records through ExecutePlan). Called once — from FinishStream on
-  /// clean completion, or from Next when the stream dies on an error, so
-  /// unlike the metrics publication above, errored streams ARE counted
-  /// (with the steps they spent before failing).
-  void RecordStreamStats(bool error);
+  /// Publishes a kStream stream once, when it ends: completed (end of
+  /// seeds, LIMIT, or flagged truncation) or failed. kBatch streams publish
+  /// through ExecutePlan; abandoned streams publish nothing.
+  void FinishStream(bool error);
 
   const PropertyGraph* graph_;
   EngineOptions options_;
   std::shared_ptr<const planner::CachedPlan> plan_;
-  bool cache_hit_ = false;
   Mode mode_ = Mode::kBatch;
 
   MatchOutput context_;  // rows empty; carries vars/normalized/params.
   std::optional<uint64_t> limit_;
-  size_t emitted_ = 0;
   bool done_ = false;
-  bool truncated_ = false;
   bool hit_limit_ = false;
   Status status_;
   ResultRow current_;  // Keeps the last-delivered row alive for RowView.
@@ -451,22 +472,10 @@ class Cursor {
   std::vector<NodeId> seeds_;
   size_t seed_pos_ = 0;
   size_t chunk_size_ = 0;
-  bool stream_reversed_ = false;
-  bool stream_index_seeded_ = false;
   std::unique_ptr<SharedBudget> budget_;  // One budget across all chunks.
 
-  // Observability accumulators (kStream; see FinishStream).
-  double parse_ms_ = 0;
-  uint64_t open_us_ = 0;      // Monotonic time of construction.
-  double seed_ms_total_ = 0;  // ComputeSeeds + per-chunk seed derivation.
-  double exec_ms_total_ = 0;  // RunPattern wall, summed over chunks.
-  size_t seeds_total_ = 0;
-  size_t steps_total_ = 0;
-  size_t batch_blocks_total_ = 0;
-  size_t batch_candidates_total_ = 0;
-  size_t batch_survivors_total_ = 0;
+  ExecRecord record_;  // kBatch: the record ExecutePlan published.
   bool published_ = false;
-  bool stats_recorded_ = false;  // RecordStreamStats fired (once ever).
 };
 
 /// The GPML processor of Figure 9: evaluates graph patterns over one
@@ -564,37 +573,14 @@ class Engine {
       const GraphPattern& pattern, bool* cache_hit) const;
 
   /// The materializing execution shared by Match, PreparedQuery::Execute,
-  /// and ExplainAnalyze: per-declaration matching in plan order, the
-  /// singleton hash join, declaration reordering, match-mode filter, and
-  /// the final WHERE. `actuals`, when non-null, receives per-declaration
-  /// measured counters in plan order (EXPLAIN ANALYZE). `parse_ms` is the
-  /// already-paid text-parse cost replayed into the trace and plan_ms
-  /// totals. Also the observability chokepoint: fills
-  /// EngineOptions::trace, emits to trace_sink, publishes registry
-  /// counters/histograms, and captures slow queries — for completed
-  /// executions (failed ones publish nothing).
-  Result<MatchOutput> ExecutePlan(
-      const planner::CachedPlan& prepared, bool cache_hit,
-      std::shared_ptr<const Params> params,
-      std::vector<planner::DeclActual>* actuals, double parse_ms = 0) const;
-
-  /// Matcher work observed by one ExecutePlan call, filled as the run
-  /// progresses so the query-stats recorder sees the steps an execution
-  /// spent even when it then died on an error (mirrors the cursor's
-  /// record-before-status-check discipline in FillChunk).
-  struct ExecObserved {
-    size_t seeds = 0;
-    size_t steps = 0;
-    size_t batch_blocks = 0;
-  };
-
-  /// The body of ExecutePlan; the public wrapper times it and records the
-  /// outcome — success or error — into the query-stats store.
-  Result<MatchOutput> ExecutePlanImpl(
-      const planner::CachedPlan& prepared, bool cache_hit,
-      std::shared_ptr<const Params> params,
-      std::vector<planner::DeclActual>* actuals, double parse_ms,
-      ExecObserved* observed) const;
+  /// kBatch cursors, and ExplainAnalyze: per-declaration matching in plan
+  /// order, the singleton hash join, declaration reordering, match-mode
+  /// filter, and the final WHERE. Fills `record` (restarting its clock),
+  /// assigns EngineOptions::metrics from it, and publishes it — on success
+  /// and on error alike (docs/observability.md).
+  Result<MatchOutput> ExecutePlan(const planner::CachedPlan& prepared,
+                                  std::shared_ptr<const Params> params,
+                                  ExecRecord* record) const;
 
   const PropertyGraph& graph_;
   EngineOptions options_;

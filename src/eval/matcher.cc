@@ -211,7 +211,7 @@ class Matcher {
   /// local counters — the exact historical per-step check, no atomics in
   /// the interpreter loop. With a shared budget (parallel shards), steps
   /// are charged in batches of `charge_stride` to keep the hot loop off the
-  /// shared cache line (overshoot bounded by one batch per shard).
+  /// shared cache line; see ChargeSteps.
   Matcher(const PropertyGraph& g, const Program& program, const VarTable& vars,
           const MatcherOptions& options, const NodeId* seeds,
           size_t num_seeds, SharedBudget* budget, size_t charge_stride,
@@ -241,6 +241,13 @@ class Matcher {
   /// deduplication, and the selector are applied by the caller's merge.
   std::vector<PathBinding> TakeResults() { return std::move(results_); }
 
+  /// Charges the steps still pending against the shared budget.
+  Status FlushSteps() {
+    const size_t n = pending_steps_;
+    pending_steps_ = 0;
+    return n == 0 ? Status::OK() : budget_->ChargeSteps(n);
+  }
+
   size_t steps() const { return steps_; }
   size_t batch_blocks() const { return batch_blocks_; }
   size_t batch_candidates() const { return batch_candidates_; }
@@ -249,22 +256,22 @@ class Matcher {
  private:
   // --- shared helpers ------------------------------------------------------
 
-  Status Budget() {
-    ++steps_;
+  /// Charges `n` executed steps — one per interpreter instruction, one per
+  /// batch-gathered candidate. Single-shard runs check a plain local counter
+  /// at the exact step; shards of a shared budget charge it every
+  /// `charge_stride_` steps and flush the remainder when the shard ends
+  /// (FlushSteps), so the run fails exactly when its total exceeds
+  /// max_steps at any thread count.
+  Status ChargeSteps(size_t n) {
+    steps_ += n;
     if (budget_ == nullptr) {
       if (steps_ > options_.max_steps) {
-        return Status::ResourceExhausted(
-            "match search exceeded max_steps; tighten the pattern or raise "
-            "MatcherOptions::max_steps");
+        return Status::ResourceExhausted(SharedBudget::kStepsExceeded);
       }
       return Status::OK();
     }
-    if (++pending_steps_ >= charge_stride_) {
-      size_t n = pending_steps_;
-      pending_steps_ = 0;
-      return budget_->ChargeSteps(n);
-    }
-    return Status::OK();
+    pending_steps_ += n;
+    return pending_steps_ >= charge_stride_ ? FlushSteps() : Status::OK();
   }
 
   State MakeStart(NodeId s) const {
@@ -477,7 +484,7 @@ class Matcher {
       work.pop_back();
       bool dead = false;
       while (!dead) {
-        GPML_RETURN_IF_ERROR(Budget());
+        GPML_RETURN_IF_ERROR(ChargeSteps(1));
         const Instr& in = program_.code[static_cast<size_t>(cur.pc)];
         switch (in.op) {
           case Instr::Op::kAccept: {
@@ -624,7 +631,7 @@ class Matcher {
       bool prefiltered = false;
       AdjSpan range = ExpansionRange(in, cur.node, &prefiltered);
       for (const Adjacency& adj : range) {
-        GPML_RETURN_IF_ERROR(Budget());
+        GPML_RETURN_IF_ERROR(ChargeSteps(1));
         GPML_ASSIGN_OR_RETURN(std::optional<State> next,
                               TryEdge(in, cur, adj, prefiltered));
         if (next.has_value()) {
@@ -685,30 +692,6 @@ class Matcher {
   /// scratch, which is safe because the batch route emits no accepts until
   /// the final drain).
   static constexpr size_t kMaxLevelEntries = 1u << 22;
-
-  /// Charges `n` batch-gathered candidates against the step budget in one
-  /// call. Equivalent to n Budget() calls (same stride flushing), so shared
-  /// budgets see the same charge cadence; only the per-route step totals
-  /// differ (the batch path charges per adjacency candidate, the interpreter
-  /// additionally per epsilon instruction).
-  Status ChargeBatchSteps(size_t n) {
-    steps_ += n;
-    if (budget_ == nullptr) {
-      if (steps_ > options_.max_steps) {
-        return Status::ResourceExhausted(
-            "match search exceeded max_steps; tighten the pattern or raise "
-            "MatcherOptions::max_steps");
-      }
-      return Status::OK();
-    }
-    pending_steps_ += n;
-    if (pending_steps_ >= charge_stride_) {
-      size_t m = pending_steps_;
-      pending_steps_ = 0;
-      return budget_->ChargeSteps(m);
-    }
-    return Status::OK();
-  }
 
   /// Binds the program's compiled predicate kernels to this run's $params.
   /// False routes the run to the scalar interpreter: the program is not
@@ -793,7 +776,7 @@ class Matcher {
         }
       }
       const size_t n = blk.size();
-      GPML_RETURN_IF_ERROR(ChargeBatchSteps(n));
+      GPML_RETURN_IF_ERROR(ChargeSteps(n));
       ++batch_blocks_;
       batch_candidates_ += n;
       if (n == 0) continue;
@@ -903,7 +886,7 @@ class Matcher {
       const NodeId seed = seeds_[s];
       // Level 0: the seed must pass the first node check (seeding may have
       // come from a label-index superset, exactly like the scalar route).
-      GPML_RETURN_IF_ERROR(ChargeBatchSteps(1));
+      GPML_RETURN_IF_ERROR(ChargeSteps(1));
       const Instr& first = program_.code[static_cast<size_t>(bp.nodes[0].pc)];
       if (!NodeLabelsMatch(first, seed)) continue;
       if (!node_kernels_[0].terms.empty() &&
@@ -1057,7 +1040,7 @@ class Matcher {
         bool prefiltered = false;
         AdjSpan range = ExpansionRange(in, cur.node, &prefiltered);
         for (const Adjacency& adj : range) {
-          GPML_RETURN_IF_ERROR(Budget());
+          GPML_RETURN_IF_ERROR(ChargeSteps(1));
           GPML_ASSIGN_OR_RETURN(std::optional<State> nxt,
                                 TryEdge(in, cur, adj, prefiltered));
           if (nxt.has_value()) {
@@ -1122,9 +1105,9 @@ struct ShardOutcome {
   double ms = 0;  // Shard wall clock, measured inside the worker.
 };
 
-/// Steps charged per shared-budget access in parallel shards. The budget can
-/// overshoot by at most `kParallelChargeStride * shards` steps, traded for
-/// keeping the interpreter loop off the contended atomic.
+/// Steps charged per shared-budget access in parallel shards, keeping the
+/// interpreter loop off the contended atomic. Each shard flushes its
+/// remainder when it ends, so the budget's outcome stays exact.
 constexpr size_t kParallelChargeStride = 256;
 
 void RunShard(const PropertyGraph& g, const Program& program,
@@ -1136,6 +1119,7 @@ void RunShard(const PropertyGraph& g, const Program& program,
   Matcher m(g, program, vars, options, seeds, num_seeds, budget,
             charge_stride, params);
   out->status = m.Run();
+  if (out->status.ok() && budget != nullptr) out->status = m.FlushSteps();
   out->steps = m.steps();
   out->batch_blocks = m.batch_blocks();
   out->batch_candidates = m.batch_candidates();
@@ -1294,7 +1278,6 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
 
   if (stats != nullptr) {
     stats->seeds = seeds.size();
-    stats->shards = shards;
     stats->steps = 0;
     stats->batch_blocks = 0;
     stats->batch_candidates = 0;
@@ -1316,7 +1299,20 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
       if (stats != nullptr) stats->match_ms = run_clock.ElapsedMs();
       return merged;
     }
-    *budget_exhausted = true;  // Deliver the partial set below.
+    // Deliver the partial set below. A step cut keeps a seed-order prefix:
+    // shards before the first one cut short finished their blocks, so
+    // dropping every later shard's bindings leaves a prefix of the
+    // discovery order a sequential run would have produced. A match cut
+    // keeps every shard's bindings: they are results within max_matches,
+    // and a prefix could leave none.
+    *budget_exhausted = true;
+    if (merged.message() == SharedBudget::kStepsExceeded) {
+      size_t cut = 0;
+      while (outcomes[cut].status.ok()) ++cut;
+      for (size_t i = cut + 1; i < outcomes.size(); ++i) {
+        outcomes[i].results.clear();
+      }
+    }
   }
   MatchSet result =
       MergeShards(std::move(outcomes), program,

@@ -20,8 +20,9 @@ namespace gpml {
 ///
 /// The limits apply to the whole RunPattern call, never per worker: with
 /// `num_threads > 1` all seed shards draw from one shared atomic budget
-/// (see SharedBudget), so a parallel run can never execute more than the
-/// configured number of steps plus one charge batch per shard.
+/// (see SharedBudget), and every shard flushes its uncharged steps when it
+/// ends, so a call fails (or is flagged truncated) exactly when its total
+/// steps exceed max_steps, at every thread count.
 struct MatcherOptions {
   size_t max_matches = 1u << 20;       // Accepted bindings (pre-selector).
   size_t max_steps = 200u << 20;       // Executed instructions.
@@ -67,7 +68,9 @@ inline constexpr size_t kBatchBlockTarget = 512;
 /// call. Sequential runs charge every step individually, so the limit fires
 /// at exactly the same instruction as the historical per-run counters;
 /// parallel shards charge in small batches to keep the hot loop off the
-/// shared cache line (bounded overshoot: one batch per shard).
+/// shared cache line and charge their remainder when they end, so the
+/// outcome — exhausted or not — is exact; only the instruction at which a
+/// parallel run stops varies.
 class SharedBudget {
  public:
   SharedBudget(size_t max_steps, size_t max_matches)
@@ -78,6 +81,9 @@ class SharedBudget {
   /// its own, and RunPattern reports the sibling's genuine error instead.
   static constexpr const char* kAbortedBySibling =
       "search aborted: shared budget exhausted by a sibling shard";
+  static constexpr const char* kStepsExceeded =
+      "match search exceeded max_steps; tighten the pattern or raise "
+      "MatcherOptions::max_steps";
 
   /// Charges `n` executed instructions; kResourceExhausted once the total
   /// exceeds max_steps.
@@ -87,9 +93,7 @@ class SharedBudget {
     }
     if (steps_.fetch_add(n, std::memory_order_relaxed) + n > max_steps_) {
       exhausted_.store(true, std::memory_order_relaxed);
-      return Status::ResourceExhausted(
-          "match search exceeded max_steps; tighten the pattern or raise "
-          "MatcherOptions::max_steps");
+      return Status::ResourceExhausted(kStepsExceeded);
     }
     return Status::OK();
   }
@@ -108,8 +112,6 @@ class SharedBudget {
   /// Tells sibling shards to stop at their next budget check (set when a
   /// shard fails for a non-budget reason, e.g. an expression type error).
   void Abort() { exhausted_.store(true, std::memory_order_relaxed); }
-
-  size_t steps() const { return steps_.load(std::memory_order_relaxed); }
 
  private:
   std::atomic<size_t> steps_{0};
@@ -133,15 +135,13 @@ struct MatchSet {
 struct MatchStats {
   size_t seeds = 0;   // Start nodes seeded.
   size_t steps = 0;   // Interpreter instructions executed (summed over shards).
-  size_t shards = 0;  // Worker shards the seed list was split into.
   // Batch-path counters (zero when the scalar interpreter ran):
   size_t batch_blocks = 0;      // Frontier blocks expanded.
   size_t batch_candidates = 0;  // Adjacency candidates gathered into blocks.
   size_t batch_survivors = 0;   // Candidates surviving all filter passes.
   // Wall-clock timings (monotonic clock, see obs/clock.h), always measured:
   // two clock reads per region, far below the bench_obs 2% overhead gate.
-  // The engine turns these into trace spans and EngineMetrics/stage-
-  // histogram totals (docs/observability.md).
+  // The engine folds these into its execution record (docs/observability.md).
   double seed_ms = 0;             // ComputeSeeds (seed-list derivation).
   double match_ms = 0;            // The whole RunPattern call.
   std::vector<double> shard_ms;   // Per worker shard, in shard order.
@@ -179,8 +179,8 @@ struct MatchStats {
 /// engine). `budget_exhausted`, when non-null, switches budget exhaustion
 /// from an error into partial delivery: the bindings found so far are
 /// returned with *budget_exhausted = true (non-budget errors still fail
-/// the call). Partial sets are best-effort — deterministic only for
-/// single-shard runs.
+/// the call). A set cut by max_steps is a seed-order prefix of the full
+/// run's discovery order; its length depends on shard timing when sharded.
 Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
                             const VarTable& vars,
                             const MatcherOptions& options,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 
+#include "obs/engine_metrics.h"
 #include "obs/metrics.h"
 
 namespace gpml {
@@ -19,6 +20,19 @@ std::shared_ptr<obs::MetricsRegistry> PropertyGraph::metrics_registry()
     return fresh;
   }
   return reg;
+}
+
+const obs::EngineMetricHandles& PropertyGraph::metric_handles() const {
+  std::shared_ptr<const obs::EngineMetricHandles> handles =
+      std::atomic_load(&metric_handles_);
+  if (handles != nullptr) return *handles;
+  auto fresh =
+      std::make_shared<const obs::EngineMetricHandles>(metrics_registry());
+  // Losers adopt the winner's handles; both resolved the same families.
+  if (std::atomic_compare_exchange_strong(&metric_handles_, &handles, fresh)) {
+    return *fresh;
+  }
+  return *handles;
 }
 
 uint64_t PropertyGraph::NextIdentityToken() {

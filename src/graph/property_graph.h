@@ -23,6 +23,7 @@ struct PlanCache;   // planner/plan_cache.h; cached on the graph, see below.
 
 namespace obs {
 class MetricsRegistry;  // obs/metrics.h; per-graph registry, see below.
+struct EngineMetricHandles;  // obs/engine_metrics.h; see below.
 }  // namespace obs
 
 /// A reference to a graph element (node or edge) — the codomain of variable
@@ -254,6 +255,10 @@ class PropertyGraph {
   /// registry (counters are never split across two instances).
   std::shared_ptr<obs::MetricsRegistry> metrics_registry() const;
 
+  /// The engine's family handles in metrics_registry(), resolved on first
+  /// use and kept for the graph's lifetime (same compare-exchange slot).
+  const obs::EngineMetricHandles& metric_handles() const;
+
  private:
   friend class GraphBuilder;
 
@@ -293,6 +298,7 @@ class PropertyGraph {
   mutable std::shared_ptr<const planner::GraphStats> stats_cache_;
   mutable std::shared_ptr<const planner::PlanCache> plan_cache_;
   mutable std::shared_ptr<obs::MetricsRegistry> metrics_registry_;
+  mutable std::shared_ptr<const obs::EngineMetricHandles> metric_handles_;
   uint64_t identity_token_ = NextIdentityToken();
 };
 

@@ -27,8 +27,8 @@ struct Span {
 /// EngineOptions::trace: parse, normalize/analyze, plan, compile, then per
 /// declaration seed + match (with one span per worker shard), join, and the
 /// final filter (docs/observability.md lists the taxonomy). The engine
-/// clears and refills it on every execution, mirroring EngineMetrics'
-/// reset-on-execute semantics.
+/// clears and refills it when an execution completes, laying the spans
+/// out from the execution's record.
 ///
 /// Not thread-safe: one Trace belongs to one executing call. Worker shards
 /// never touch it — the matcher reports per-shard wall times through

@@ -43,6 +43,10 @@ struct DeclActual {
   bool seed_filtered = false;  // Seeded from earlier declarations' bindings.
   double ms = -1;              // Declaration wall clock (seed + match);
                                // rendered as actual_ms= when >= 0.
+  // Stage timings behind the execution trace's decl/seed/shard/join spans:
+  double seed_ms = 0;            // Seed-list derivation.
+  std::vector<double> shard_ms;  // Per worker shard (summed over chunks).
+  double join_ms = 0;            // Joining these bindings into the rows.
 };
 
 /// Renders a plan as stable, line-oriented text, one `step` line per

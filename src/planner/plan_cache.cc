@@ -17,19 +17,17 @@ std::string PlanFingerprint(const GraphPattern& pattern, bool use_planner,
   return fp;
 }
 
-std::shared_ptr<const CachedPlan> LookupPlan(const PropertyGraph& g,
-                                             const std::string& fingerprint,
-                                             obs::MetricsRegistry* registry) {
+std::shared_ptr<const CachedPlan> LookupPlan(
+    const PropertyGraph& g, const std::string& fingerprint,
+    const obs::EngineMetricHandles* handles) {
   std::shared_ptr<const PlanCache> cache = g.plan_cache();
   std::shared_ptr<const CachedPlan> entry;
   if (cache != nullptr && cache->graph_token == g.identity_token()) {
     auto it = cache->entries.find(fingerprint);
     if (it != cache->entries.end()) entry = it->second;
   }
-  if (registry != nullptr) {
-    registry
-        ->GetCounter(entry != nullptr ? "gpml_plan_cache_hits_total"
-                                      : "gpml_plan_cache_misses_total")
+  if (handles != nullptr) {
+    (entry != nullptr ? handles->plan_cache_hits : handles->plan_cache_misses)
         ->Increment();
   }
   return entry;

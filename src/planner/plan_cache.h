@@ -10,7 +10,7 @@
 #include "eval/binding.h"
 #include "eval/nfa.h"
 #include "graph/property_graph.h"
-#include "obs/metrics.h"
+#include "obs/engine_metrics.h"
 #include "planner/planner.h"
 
 namespace gpml {
@@ -102,12 +102,12 @@ std::string PlanFingerprint(const GraphPattern& pattern, bool use_planner,
 
 /// The cached entry of `g` for `fingerprint`, or nullptr on a miss (also
 /// when the stored snapshot belongs to a different graph identity). When
-/// `registry` is non-null the outcome is counted there as
+/// `handles` is non-null the outcome is counted there as
 /// gpml_plan_cache_hits_total / gpml_plan_cache_misses_total — the engine
-/// passes the graph's registry unless metrics publication is disabled.
+/// passes the graph's handles unless metrics publication is disabled.
 std::shared_ptr<const CachedPlan> LookupPlan(
     const PropertyGraph& g, const std::string& fingerprint,
-    obs::MetricsRegistry* registry = nullptr);
+    const obs::EngineMetricHandles* handles = nullptr);
 
 /// Publishes `entry` under `fingerprint` by copy-on-write: loads the current
 /// snapshot, copies it extended with the entry, and stores it back. Racing

@@ -978,7 +978,9 @@ std::string Server::OpExecute(ConnState* state, const JsonValue& req,
     Result<Cursor> cursor = bound.Open(params, limit);
     if (!cursor.ok()) {
       ChargeTenantSteps(tenant, metrics.matcher_steps);
-      return ErrorResponse(cursor.status(), "", id_raw);
+      return ErrorResponse(cursor.status(),
+                           ExecutionErrorReason(tenant, cursor.status()),
+                           id_raw);
     }
     std::string rows;
     size_t count = 0;
@@ -987,7 +989,9 @@ std::string Server::OpExecute(ConnState* state, const JsonValue& req,
       Result<bool> more = cursor->Next(&view);
       if (!more.ok()) {
         ChargeTenantSteps(tenant, metrics.matcher_steps);
-        return ErrorResponse(more.status(), "", id_raw);
+        return ErrorResponse(
+            more.status(), ExecutionErrorReason(tenant, more.status()),
+            id_raw);
       }
       if (!*more) break;
       if (count > 0) rows += ",";
@@ -1057,7 +1061,11 @@ std::string Server::OpOpen(ConnState* state, const JsonValue& req,
     PreparedQuery bound =
         stored->WithOptions(ExecutionOptions(tenant, metrics.get(), trace_id));
     Result<Cursor> cursor = bound.Open(params, limit);
-    if (!cursor.ok()) return ErrorResponse(cursor.status(), "", id_raw);
+    if (!cursor.ok()) {
+      return ErrorResponse(cursor.status(),
+                           ExecutionErrorReason(tenant, cursor.status()),
+                           id_raw);
+    }
     queries_total_->Increment();
     CursorHandle handle;
     handle.cursor = std::make_unique<Cursor>(std::move(*cursor));
@@ -1125,7 +1133,9 @@ std::string Server::OpFetch(ConnState* state, const JsonValue& req,
       Result<bool> more = handle->cursor->Next(&view);
       if (!more.ok()) {
         charge();
-        return ErrorResponse(more.status(), "", id_raw);
+        return ErrorResponse(
+            more.status(), ExecutionErrorReason(tenant, more.status()),
+            id_raw);
       }
       if (!*more) {
         done = true;
@@ -1392,6 +1402,15 @@ Result<std::string> Server::QueryStatsJson(const std::string& graph,
   }
   out += "]";
   return out;
+}
+
+const char* Server::ExecutionErrorReason(const std::string& tenant,
+                                         const Status& status) const {
+  if (status.message() != SharedBudget::kStepsExceeded) return "";
+  const MatcherOptions& base = options_.engine.matcher;
+  return admission_.ApplyQuota(tenant, base).max_steps < base.max_steps
+             ? kReasonTenantStepBudget
+             : "";
 }
 
 EngineOptions Server::ExecutionOptions(const std::string& tenant,

@@ -190,6 +190,12 @@ class Server {
                                  EngineMetrics* metrics,
                                  const std::string& trace_id) const;
 
+  /// The wire reason of a failed execution: TENANT_STEP_BUDGET when the
+  /// matcher's step cap tripped and the tenant's quota (per-query cap or
+  /// remaining cumulative budget) is what tightened it; otherwise none.
+  const char* ExecutionErrorReason(const std::string& tenant,
+                                   const Status& status) const;
+
   // Per-tenant metric families, registered in the server registry with
   // the tenant (and refusal reason) spliced into the series name as
   // Prometheus labels — AggregateAllRegistries exports them via /metrics.

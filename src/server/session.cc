@@ -37,7 +37,12 @@ std::vector<std::shared_ptr<ServerSession>> SessionRegistry::ReapIdle(
   for (const std::shared_ptr<ServerSession>& session : Snapshot()) {
     std::lock_guard<std::mutex> lock(session->mu);
     if (session->expired || session->in_flight > 0) continue;
-    if (now_us - session->last_active_us < idle_us) continue;
+    // A request that finished after the caller read `now_us` stamped a
+    // later time: the session is active (the subtraction would wrap).
+    if (session->last_active_us >= now_us ||
+        now_us - session->last_active_us < idle_us) {
+      continue;
+    }
     session->expired = true;
     session->statements.clear();
     session->cursors.clear();

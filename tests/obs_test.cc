@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -23,6 +24,7 @@
 #include "graph/sample_graph.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
+#include "obs/query_stats.h"
 #include "obs/slow_query_log.h"
 #include "obs/trace.h"
 #include "pgq/graph_table.h"
@@ -724,6 +726,80 @@ TEST(CursorObsTest, MetricsResetOnEachExecution) {
   // And the next materializing execution resets again.
   ASSERT_TRUE(engine.Match(kFraudQuery).ok());
   EXPECT_EQ(metrics.rows, fraud_rows);
+}
+
+// --- one publication path: Execute and Open agree ---------------------------
+
+/// What one execution published on a fresh graph: registry counter values,
+/// histogram observation counts, the trace's span names, and the
+/// slow-query capture (threshold 0 captures every completion).
+struct Published {
+  std::map<std::string, uint64_t> counters;
+  std::map<std::string, uint64_t> histograms;
+  std::set<std::string> spans;
+  bool stream_root = false;
+  std::vector<obs::SlowQueryRecord> slow;
+};
+
+Published ExecuteOnFreshGraph(const char* query, bool open) {
+  PropertyGraph g = BuildPaperGraph();
+  obs::Trace trace;
+  obs::SlowQueryLog log(8);
+  obs::QueryStatsStore store;
+  EngineOptions options;
+  options.num_threads = 1;
+  options.trace = &trace;
+  options.slow_query_ms = 0;
+  options.slow_log = &log;
+  options.query_stats = &store;
+  Published p;
+  Result<PreparedQuery> q = Engine(g, options).Prepare(query);
+  EXPECT_TRUE(q.ok()) << q.status();
+  if (!q.ok()) return p;
+  if (open) {
+    Result<Cursor> cursor = q->Open();
+    EXPECT_TRUE(cursor.ok() && cursor->Drain().ok()) << query;
+  } else {
+    EXPECT_TRUE(q->Execute().ok()) << query;
+  }
+  obs::MetricsSnapshot snap = g.metrics_registry()->Snapshot();
+  for (const obs::CounterSnapshot& c : snap.counters) {
+    p.counters[c.name] = c.value;
+  }
+  for (const obs::HistogramSnapshot& h : snap.histograms) {
+    p.histograms[h.name] = h.count;
+  }
+  for (const obs::Span& span : trace.spans()) {
+    p.spans.insert(span.name);
+    for (const auto& [key, value] : span.attrs) {
+      if (span.name == "query" && key == "mode" && value == "stream") {
+        p.stream_root = true;
+      }
+    }
+  }
+  p.slow = log.Snapshot();
+  return p;
+}
+
+TEST(PublishParityTest, ExecuteAndOpenPublishTheSame) {
+  // kStreamQuery streams chunk by chunk; kFraudQuery (quantified, two
+  // declarations) runs as a kBatch cursor.
+  for (const char* query : {kStreamQuery, kFraudQuery}) {
+    Published executed = ExecuteOnFreshGraph(query, /*open=*/false);
+    Published opened = ExecuteOnFreshGraph(query, /*open=*/true);
+    EXPECT_EQ(executed.counters, opened.counters) << query;
+    EXPECT_EQ(executed.histograms, opened.histograms) << query;
+    EXPECT_EQ(executed.spans, opened.spans) << query;
+    EXPECT_GT(executed.counters["gpml_executions_total"], 0u) << query;
+    EXPECT_EQ(executed.spans.count("shard"), 1u) << query;
+    EXPECT_FALSE(executed.stream_root) << query;
+    EXPECT_EQ(opened.stream_root, query == kStreamQuery) << query;
+    for (const Published* p : {&executed, &opened}) {
+      ASSERT_EQ(p->slow.size(), 1u) << query;
+      EXPECT_NE(p->slow[0].explain.find(" actual_steps="), std::string::npos)
+          << query << "\n" << p->slow[0].explain;
+    }
+  }
 }
 
 // --- ExplainAnalyze plumbing -------------------------------------------------

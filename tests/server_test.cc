@@ -29,6 +29,7 @@
 #include "server/client.h"
 #include "server/json.h"
 #include "server/server.h"
+#include "server/session.h"
 
 namespace gpml {
 namespace server {
@@ -372,6 +373,22 @@ TEST(ServerTest, InFlightRequestIsNeverReaped) {
   EXPECT_TRUE(client.UseGraph("fraud").ok());
 }
 
+// The reaper reads its clock before taking each session's lock, so a
+// request finishing in between stamps last_active_us later than now_us.
+// That session is active, not idle for ~2^64 microseconds.
+TEST(SessionRegistryTest, ActivityAfterTheReapClockIsNotIdle) {
+  SessionRegistry registry;
+  std::shared_ptr<ServerSession> session = registry.Create("busy");
+  const uint64_t now_us = 1000000;
+  {
+    std::lock_guard<std::mutex> lock(session->mu);
+    session->last_active_us = now_us + 1000;
+  }
+  EXPECT_TRUE(registry.ReapIdle(now_us, 10).empty());
+  std::lock_guard<std::mutex> lock(session->mu);
+  EXPECT_FALSE(session->expired);
+}
+
 // Satellite edge case: a tenant at max_sessions gets a structured
 // RESOURCE_EXHAUSTED with reason TENANT_SESSIONS — and a slot freed by
 // closing the first connection admits the next.
@@ -458,8 +475,8 @@ TEST(ServerTest, StepBudgetExhaustionIsStructuredError) {
 
   // Each admitted execution charges real steps against the cumulative
   // budget (the last admitted one may itself die mid-query when ApplyQuota
-  // tightens its per-query cap to the dwindling remainder — that is the
-  // in-query flavor, reason-less). Eventually admission itself refuses
+  // tightens its per-query cap to the dwindling remainder — the in-query
+  // flavor, carrying the same reason). Eventually admission itself refuses
   // with the structured TENANT_STEP_BUDGET.
   bool budget_refused = false;
   for (int i = 0; i < 50 && !budget_refused; ++i) {
@@ -474,6 +491,52 @@ TEST(ServerTest, StepBudgetExhaustionIsStructuredError) {
   // Statement-less ops still work: the session is alive, only query
   // admission is refused.
   EXPECT_TRUE(client.Ping().ok());
+}
+
+// A tenant's per-query step cap holds on sharded execution: with 4 engine
+// threads a query one step over the cap fails with TENANT_STEP_BUDGET, and
+// the steps it spent are charged — /metrics and the admission ledger agree.
+TEST(ServerTest, PerQueryStepCapHoldsAcrossShards) {
+  EngineOptions engine;
+  engine.num_threads = 4;
+  engine.matcher.min_seeds_per_shard = 1;  // Every chunk really shards.
+  EngineMetrics metrics;
+  EngineOptions measured = engine;
+  measured.metrics = &metrics;
+  PropertyGraph g = TestGraph();
+  Result<PreparedQuery> query = Engine(g, measured).Prepare(kAllTransfers);
+  ASSERT_TRUE(query.ok());
+  Result<Cursor> uncapped = query->Open();
+  ASSERT_TRUE(uncapped.ok());
+  ASSERT_TRUE(uncapped->Drain().ok());
+  const size_t steps = metrics.matcher_steps;
+  ASSERT_GT(steps, 1u);
+
+  ServerOptions options;
+  options.engine = engine;
+  options.default_quota.max_steps_per_query = steps - 1;
+  TestServer srv(options);
+  Client client = MustConnect(srv, "capped");
+  ASSERT_TRUE(client.UseGraph("fraud").ok());
+  Result<Client::PreparedInfo> prepared = client.Prepare(kAllTransfers);
+  ASSERT_TRUE(prepared.ok());
+  Result<ExecuteResult> result = client.Execute(prepared->stmt);
+  ASSERT_FALSE(result.ok()) << "a query over its tenant step cap completed";
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(client.last_reason(), "TENANT_STEP_BUDGET");
+
+  Result<Client::RawResponse> stats = client.RoundTrip("{\"op\":\"stats\"}");
+  ASSERT_TRUE(stats.ok());
+  const int64_t charged =
+      stats->parsed.Find("tenant")->Find("total_steps")->int_v;
+  EXPECT_GT(charged, static_cast<int64_t>(steps - 1));
+  Result<std::string> text = client.Metrics();
+  ASSERT_TRUE(text.ok()) << text.status();
+  EXPECT_NE(text->find("gpml_tenant_steps_total{tenant=\"capped\"} " +
+                       std::to_string(charged) + "\n"),
+            std::string::npos)
+      << "charged " << charged << "\n"
+      << *text;
 }
 
 // --- backpressure ----------------------------------------------------------

@@ -297,6 +297,24 @@ planner::ExplainExec ExecLine(size_t threads, bool cached, bool use_batch) {
   return exec;
 }
 
+/// The distinct nodes the joined rows bind to `var` (its last binding per
+/// row), ascending: the seed and end filters of a bound declaration.
+std::vector<NodeId> BoundNodes(const std::vector<ResultRow>& rows, int var) {
+  std::unordered_set<NodeId> distinct;
+  for (const ResultRow& row : rows) {
+    for (size_t i = row.bindings.size(); i-- > 0;) {
+      const ElementRef* el = row.bindings[i]->LastOf(var);
+      if (el != nullptr) {
+        if (el->is_node()) distinct.insert(el->id);
+        break;
+      }
+    }
+  }
+  std::vector<NodeId> out(distinct.begin(), distinct.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 /// The EXPLAIN ANALYZE exec line of a finished execution.
 planner::ExplainExec AnalyzedExec(const ExecRecord& rec, bool use_batch) {
   planner::ExplainExec exec =
@@ -513,6 +531,7 @@ void ExecRecord::Accumulate(const MatchStats& stats, size_t bindings) {
   a.bindings += bindings;
   a.ms += stats.match_ms;
   a.seed_ms += stats.seed_ms;
+  a.route = MatchRouteName(stats.route);
   if (a.shard_ms.size() < stats.shard_ms.size()) {
     a.shard_ms.resize(stats.shard_ms.size(), 0.0);
   }
@@ -845,18 +864,7 @@ Result<MatchOutput> Engine::ExecutePlan(const planner::CachedPlan& prepared,
     bool use_filter = plan_pos > 0 && dp.seed_bound_var >= 0;
     bool use_index = false;
     if (use_filter) {
-      std::unordered_set<NodeId> distinct;
-      for (const ResultRow& row : rows) {
-        for (size_t i = row.bindings.size(); i-- > 0;) {
-          const ElementRef* el = row.bindings[i]->LastOf(dp.seed_bound_var);
-          if (el != nullptr) {
-            if (el->is_node()) distinct.insert(el->id);
-            break;
-          }
-        }
-      }
-      seed_filter.assign(distinct.begin(), distinct.end());
-      std::sort(seed_filter.begin(), seed_filter.end());
+      seed_filter = BoundNodes(rows, dp.seed_bound_var);
       filter = &seed_filter;
     } else if (plan.planner_used && dp.anchor.has_index()) {
       const Value* idx_value =
@@ -870,13 +878,21 @@ Result<MatchOutput> Engine::ExecutePlan(const planner::CachedPlan& prepared,
       // predicate itself filters (to nothing — `= NULL` is never true).
     }
 
+    // End filtering, by the same argument from the other end: the final
+    // node variable is bound too, so accepts ending at any other node could
+    // never join (docs/planner.md).
+    const bool use_end_filter = plan_pos > 0 && dp.end_bound_var >= 0;
+    std::vector<NodeId> end_filter;
+    if (use_end_filter) end_filter = BoundNodes(rows, dp.end_bound_var);
+
     rec->BeginDecl(dp.reversed, use_index, use_filter);
     MatchStats match_stats;
     bool decl_truncated = false;
-    Result<MatchSet> match =
-        RunPattern(graph_, program, *out.vars, matcher_options, filter,
-                   &match_stats, out.params.get(), /*shared_budget=*/nullptr,
-                   truncate ? &decl_truncated : nullptr);
+    Result<MatchSet> match = RunPattern(
+        graph_, program, *out.vars, matcher_options, filter, &match_stats,
+        out.params.get(), /*shared_budget=*/nullptr,
+        truncate ? &decl_truncated : nullptr,
+        use_end_filter ? &end_filter : nullptr);
     rec->Accumulate(match_stats, match.ok() ? match->bindings.size() : 0);
     if (!match.ok()) {
       status = match.status();

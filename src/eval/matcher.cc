@@ -207,15 +207,17 @@ namespace {
 
 class Matcher {
  public:
-  /// `budget` == nullptr (single-shard runs) keeps the limits in plain
-  /// local counters — the exact historical per-step check, no atomics in
-  /// the interpreter loop. With a shared budget (parallel shards), steps
+  /// `budget` == nullptr (single-shard runs) keeps the step limit in a
+  /// plain local counter — the exact historical per-step check, no atomics
+  /// in the interpreter loop. With a shared budget (parallel shards), steps
   /// are charged in batches of `charge_stride` to keep the hot loop off the
-  /// shared cache line; see ChargeSteps.
+  /// shared cache line; see ChargeSteps. Accepts are always capped locally
+  /// at `match_cap` (see RecordAccept); `end_filter` is RunPattern's.
   Matcher(const PropertyGraph& g, const Program& program, const VarTable& vars,
           const MatcherOptions& options, const NodeId* seeds,
           size_t num_seeds, SharedBudget* budget, size_t charge_stride,
-          const Params* params)
+          const Params* params, size_t match_cap,
+          const std::vector<NodeId>* end_filter)
       : g_(g),
         program_(program),
         vars_(vars),
@@ -224,15 +226,25 @@ class Matcher {
         num_seeds_(num_seeds),
         budget_(budget),
         charge_stride_(charge_stride),
-        params_(params) {}
+        params_(params),
+        match_cap_(match_cap),
+        end_filter_(end_filter) {}
 
   Status Run() {
-    if (!program_.selector.IsNone()) return RunBfs();
-    // Block-at-a-time route (docs/vectorized.md): eligible linear programs
-    // with all predicate kernels bindable. Anything else — and the
-    // differential oracle with use_batch off — runs the tuple-at-a-time
-    // interpreter.
-    if (options_.use_batch && TryBindBatch()) return RunBatch();
+    // Fast routes (docs/vectorized.md): eligible programs with all their
+    // predicate kernels bindable. Anything else — and the differential
+    // oracle with use_batch off — runs the tuple-at-a-time interpreter.
+    if (!program_.selector.IsNone()) {
+      if (options_.use_batch && TryBindReach()) {
+        route_ = MatchRoute::kReach;
+        return RunReach();
+      }
+      return RunBfs();
+    }
+    if (options_.use_batch && TryBindBatch()) {
+      route_ = MatchRoute::kBatch;
+      return RunBatch();
+    }
     return RunDfs();
   }
 
@@ -249,6 +261,7 @@ class Matcher {
   }
 
   size_t steps() const { return steps_; }
+  MatchRoute route() const { return route_; }
   size_t batch_blocks() const { return batch_blocks_; }
   size_t batch_candidates() const { return batch_candidates_; }
   size_t batch_survivors() const { return batch_survivors_; }
@@ -577,37 +590,41 @@ class Matcher {
     return Status::OK();
   }
 
-  /// Records one accepted binding (shared by the interpreter's kAccept and
-  /// the batch drain, which accepts in the same order — so the shard-local
-  /// keep-first dedup is route-independent).
+  /// Is `node` an admissible path end under the end filter?
+  bool EndAdmitted(NodeId node) const {
+    return end_filter_ == nullptr ||
+           std::binary_search(end_filter_->begin(), end_filter_->end(), node);
+  }
+
+  /// Records one accepted binding. Every route ends here: the
+  /// interpreter's kAccept, the batch drain (which accepts in the
+  /// interpreter's order, so the shard-local keep-first dedup is
+  /// route-independent), and the reachability route's witnesses. Accepts
+  /// outside the end filter are dropped before they count; the rest are
+  /// capped at match_cap_ (RunPattern cuts the merged set to the same cap).
   Status RecordAccept(const BindingChain& chain,
                       const std::vector<int32_t>& tags) {
+    if (end_filter_ != nullptr && chain != nullptr) {
+      const ElementRef& last = chain->binding.element;
+      const NodeId end = last.is_node()
+                             ? last.id
+                             : ReduceChain(chain, vars_, tags).path.End();
+      if (!EndAdmitted(end)) return Status::OK();
+    }
     PathBinding pb = ReduceChain(chain, vars_, tags);
     size_t h = pb.ReducedHash();
     auto [it, inserted] = seen_.emplace(h, std::vector<size_t>());
     for (size_t idx : it->second) {
       if (results_[idx].SameReduced(pb)) return Status::OK();  // Duplicate.
     }
+    if (results_.size() >= match_cap_) {
+      // Partial deliveries stay within the limit: the binding that trips
+      // max_matches is dropped (the search stops on the error either way).
+      return Status::ResourceExhausted(SharedBudget::kMatchesExceeded);
+    }
     it->second.push_back(results_.size());
     results_.push_back(std::move(pb));
-    Status charge;
-    if (budget_ == nullptr) {
-      if (results_.size() > options_.max_matches) {
-        charge = Status::ResourceExhausted(
-            "match set exceeded max_matches; add restrictors/selectors or "
-            "raise MatcherOptions::max_matches");
-      }
-    } else {
-      charge = budget_->ChargeMatch();
-    }
-    if (!charge.ok()) {
-      // Keep partial deliveries within the configured limit: the binding
-      // that tripped max_matches is dropped (the search stops on the error
-      // either way, so the dangling seen_ entry is never consulted).
-      results_.pop_back();
-      it->second.pop_back();
-    }
-    return charge;
+    return Status::OK();
   }
 
   // --- DFS route (no selector) --------------------------------------------
@@ -699,20 +716,20 @@ class Matcher {
   /// evaluator then reproduces the unbound-parameter error exactly).
   bool TryBindBatch() {
     const BatchPlan* bp = program_.batch.get();
-    if (bp == nullptr || !bp->eligible) return false;
-    node_kernels_.assign(bp->nodes.size(), BoundPredicateKernel());
-    edge_kernels_.assign(bp->edges.size(), BoundPredicateKernel());
-    for (size_t i = 0; i < bp->nodes.size(); ++i) {
-      if (bp->nodes[i].has_kernel &&
-          !BindPredicateKernel(bp->nodes[i].kernel, params_,
-                               &node_kernels_[i])) {
-        return false;
-      }
-    }
-    for (size_t i = 0; i < bp->edges.size(); ++i) {
-      if (bp->edges[i].has_kernel &&
-          !BindPredicateKernel(bp->edges[i].kernel, params_,
-                               &edge_kernels_[i])) {
+    return bp != nullptr && bp->eligible &&
+           BindKernels(bp->nodes, &node_kernels_) &&
+           BindKernels(bp->edges, &edge_kernels_);
+  }
+
+  /// Binds the `kernel` of every position in `steps` (a fast-route plan's
+  /// node or edge positions) that `has_kernel`, into `out` by index.
+  template <typename Steps>
+  bool BindKernels(const Steps& steps,
+                   std::vector<BoundPredicateKernel>* out) const {
+    out->assign(steps.size(), BoundPredicateKernel());
+    for (size_t i = 0; i < steps.size(); ++i) {
+      if (steps[i].has_kernel &&
+          !BindPredicateKernel(steps[i].kernel, params_, &(*out)[i])) {
         return false;
       }
     }
@@ -880,7 +897,6 @@ class Matcher {
     const BatchPlan& bp = *program_.batch;
     const size_t hops = bp.edges.size();
     levels_.resize(hops + 1);
-    const std::vector<int32_t> no_tags;  // Eligible programs emit no kTag.
 
     for (size_t s = 0; s < num_seeds_; ++s) {
       const NodeId seed = seeds_[s];
@@ -896,7 +912,7 @@ class Matcher {
       if (hops == 0) {
         GPML_RETURN_IF_ERROR(RecordAccept(
             Extend(nullptr, {bp.nodes[0].var, ElementRef::Node(seed)}),
-            no_tags));
+            no_tags_));
         continue;
       }
 
@@ -934,8 +950,198 @@ class Matcher {
       for (size_t p = parents.size(); p-- > 0;) {
         for (size_t i = drain_offsets_[p]; i < drain_offsets_[p + 1]; ++i) {
           GPML_RETURN_IF_ERROR(RecordAccept(
-              BuildChain(hops, static_cast<uint32_t>(i)), no_tags));
+              BuildChain(hops, static_cast<uint32_t>(i)), no_tags_));
         }
+      }
+    }
+    return Status::OK();
+  }
+
+  // --- Reachability route (docs/vectorized.md) ----------------------------
+  //
+  // Quantified ANY / ANY SHORTEST programs of the ReachPlan shape. Under
+  // that shape the scalar BFS's pruning key is exactly (edge-step position,
+  // node) per start node, so one BFS per seed over those pairs, admitting
+  // each pair once in forward CSR order, keeps the very states the scalar
+  // BFS expands, in the same order. Each accept therefore has the scalar
+  // witness as its parent-pointer path, and only the first accept per end
+  // node — the one ApplySelector keeps — is ever materialized. Per-seed
+  // output is level-ordered; MergeShards' stable length sort interleaves
+  // the seeds back into the scalar's level-then-seed order.
+
+  /// One admitted (edge-step position, node) pair: the node, the edge and
+  /// traversal that reached it (kInvalidId for the seed's own entries), the
+  /// parent entry, and the closure item that parked it (its node checks
+  /// are the bindings made on `node`; its `edge` is the step to expand).
+  struct ReachEntry {
+    NodeId node = kInvalidId;
+    EdgeId edge = kInvalidId;
+    uint32_t parent = 0;
+    uint32_t item = 0;
+    Traversal traversal = Traversal::kForward;
+  };
+  static constexpr uint32_t kNoParent = 0xffffffffu;
+
+  /// Binds the reach plan's kernels to this run's $params; false routes the
+  /// run to the scalar BFS (not eligible, or an unbound parameter, whose
+  /// error the scalar evaluator then reproduces exactly).
+  bool TryBindReach() {
+    const ReachPlan* rp = program_.reach.get();
+    return rp != nullptr && rp->eligible &&
+           BindKernels(rp->node_checks, &node_kernels_) &&
+           BindKernels(rp->edges, &edge_kernels_);
+  }
+
+  /// Do the node checks of closure item `item` pass on `node`?
+  bool ReachChecksPass(const ReachPlan& rp, const ReachPlan::Item& item,
+                       NodeId node, NodeId seed) const {
+    for (uint32_t k = item.check_begin; k < item.check_end; ++k) {
+      const uint32_t idx = rp.checks[k];
+      const ReachPlan::NodeCheck& nc = rp.node_checks[idx];
+      if (nc.trivial) continue;
+      if (nc.eq_start && node != seed) return false;
+      if (!NodeLabelsMatch(program_.code[static_cast<size_t>(nc.pc)], node)) {
+        return false;
+      }
+      if (nc.has_kernel &&
+          !EvalKernel(node_kernels_[idx], g_, /*is_node=*/true, node)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Appends the bindings of closure item `item`'s node checks on `node`.
+  static BindingChain ExtendChecks(const ReachPlan& rp,
+                                   const ReachPlan::Item& item, NodeId node,
+                                   BindingChain chain) {
+    for (uint32_t k = item.check_begin; k < item.check_end; ++k) {
+      chain = Extend(chain, {rp.node_checks[rp.checks[k]].var,
+                             ElementRef::Node(node)});
+    }
+    return chain;
+  }
+
+  /// The edge variable of the step that expanded entry `parent`.
+  static int StepVar(const ReachPlan& rp, const ReachEntry& parent) {
+    return rp.edges[static_cast<size_t>(rp.items[parent.item].edge)].var;
+  }
+
+  /// Materializes the witness accepted by closure item `item` on `node`,
+  /// reached from entry `parent` over `adj` (both absent for accepts in the
+  /// seed's own closure): exactly the chain the interpreter built.
+  BindingChain BuildReachChain(const ReachPlan& rp, uint32_t parent,
+                               const Adjacency* adj,
+                               const ReachPlan::Item& item, NodeId node) {
+    reach_path_.clear();
+    for (uint32_t i = parent; i != kNoParent; i = reach_entries_[i].parent) {
+      reach_path_.push_back(i);
+    }
+    BindingChain chain;
+    for (size_t k = reach_path_.size(); k-- > 0;) {
+      const ReachEntry& e = reach_entries_[reach_path_[k]];
+      if (e.parent != kNoParent) {
+        chain = Extend(chain,
+                       {StepVar(rp, reach_entries_[e.parent]),
+                        ElementRef::Edge(e.edge)},
+                       e.traversal);
+      }
+      chain = ExtendChecks(rp, rp.items[e.item], e.node, std::move(chain));
+    }
+    if (adj != nullptr) {
+      chain = Extend(chain,
+                     {StepVar(rp, reach_entries_[parent]),
+                      ElementRef::Edge(adj->edge)},
+                     adj->traversal);
+    }
+    return ExtendChecks(rp, item, node, std::move(chain));
+  }
+
+  Status RunReach() {
+    const ReachPlan& rp = *program_.reach;
+    const size_t n = g_.num_nodes();
+    // Epoch-stamped marks, reused across seeds: (edge step, node) admitted,
+    // and end node witnessed. O(edge steps x nodes) per shard.
+    reach_visited_.assign(rp.edges.size() * n, 0);
+    reach_witnessed_.assign(n, 0);
+    const size_t targets =
+        end_filter_ != nullptr ? end_filter_->size() : size_t{0};
+
+    for (size_t s = 0; s < num_seeds_; ++s) {
+      const NodeId seed = seeds_[s];
+      const uint32_t epoch = static_cast<uint32_t>(s) + 1;
+      GPML_RETURN_IF_ERROR(ChargeSteps(1));
+      reach_entries_.clear();
+      size_t witnessed = 0;
+      bool done = false;
+
+      // Admits one closure item's outcome on `node`: park a new entry, or
+      // record the first witness ending there. `done` once every end-filter
+      // target has its witness — nothing later can survive the filter.
+      auto visit = [&](uint32_t it, NodeId node, uint32_t parent,
+                       const Adjacency* adj) -> Status {
+        const ReachPlan::Item& item = rp.items[it];
+        if (!ReachChecksPass(rp, item, node, seed)) return Status::OK();
+        if (item.edge >= 0) {
+          uint32_t& mark =
+              reach_visited_[static_cast<size_t>(item.edge) * n + node];
+          if (mark == epoch) return Status::OK();
+          mark = epoch;
+          ReachEntry e;
+          e.node = node;
+          e.parent = parent;
+          e.item = it;
+          if (adj != nullptr) {
+            e.edge = adj->edge;
+            e.traversal = adj->traversal;
+          }
+          reach_entries_.push_back(e);
+          return Status::OK();
+        }
+        if (reach_witnessed_[node] == epoch || !EndAdmitted(node)) {
+          return Status::OK();
+        }
+        reach_witnessed_[node] = epoch;
+        GPML_RETURN_IF_ERROR(RecordAccept(
+            BuildReachChain(rp, parent, adj, item, node), no_tags_));
+        done = targets > 0 && ++witnessed == targets;
+        return Status::OK();
+      };
+
+      for (uint32_t it = rp.start_begin; it < rp.start_end && !done; ++it) {
+        GPML_RETURN_IF_ERROR(visit(it, seed, kNoParent, nullptr));
+      }
+      size_t level_begin = 0;
+      while (level_begin < reach_entries_.size() && !done) {
+        const size_t level_end = reach_entries_.size();
+        ++batch_blocks_;
+        for (size_t i = level_begin; i < level_end && !done; ++i) {
+          const ReachEntry cur = reach_entries_[i];
+          const size_t step = static_cast<size_t>(rp.items[cur.item].edge);
+          const ReachPlan::EdgeStep& es = rp.edges[step];
+          const Instr& edge_in = program_.code[static_cast<size_t>(es.pc)];
+          const EdgeOrientation orientation = edge_in.edge->orientation;
+          bool prefiltered = false;
+          AdjSpan range = ExpansionRange(edge_in, cur.node, &prefiltered);
+          GPML_RETURN_IF_ERROR(ChargeSteps(range.count));
+          batch_candidates_ += range.count;
+          for (size_t k = 0; k < range.count && !done; ++k) {
+            const Adjacency& adj = range[k];
+            if (!Admits(orientation, adj.traversal)) continue;
+            if (!prefiltered && !EdgeLabelsMatch(edge_in, adj.edge)) continue;
+            if (es.has_kernel && !EvalKernel(edge_kernels_[step], g_,
+                                             /*is_node=*/false, adj.edge)) {
+              continue;
+            }
+            ++batch_survivors_;
+            for (uint32_t it = es.item_begin; it < es.item_end && !done;
+                 ++it) {
+              GPML_RETURN_IF_ERROR(
+                  visit(it, adj.neighbor, static_cast<uint32_t>(i), &adj));
+            }
+          }
+        }
+        level_begin = level_end;
       }
     }
     return Status::OK();
@@ -1071,18 +1277,27 @@ class Matcher {
   SharedBudget* budget_;  // nullptr: local exact limits (single shard).
   const size_t charge_stride_;
   const Params* params_;  // $name bindings for inline predicates; may be null.
+  const size_t match_cap_;
+  const std::vector<NodeId>* end_filter_;  // Sorted; nullptr: any end.
 
   size_t steps_ = 0;
   size_t pending_steps_ = 0;
   uint64_t serial_gen_ = 0;
   std::vector<State> epsilon_work_;  // AdvanceEpsilon scratch.
   // Batch-route state (sized once, reused across seeds and levels):
-  std::vector<BoundPredicateKernel> node_kernels_;  // Indexed like
-  std::vector<BoundPredicateKernel> edge_kernels_;  // BatchPlan::nodes/edges.
+  std::vector<BoundPredicateKernel> node_kernels_;  // Indexed like the
+  std::vector<BoundPredicateKernel> edge_kernels_;  // running route's plan.
   std::vector<std::vector<FrontierEntry>> levels_;
   CandidateBlock block_;
   std::vector<const FrontierEntry*> chain_scratch_;  // BuildChain ancestors.
   std::vector<size_t> drain_offsets_;
+  // Reach-route state (sized once per shard, reused across seeds):
+  std::vector<ReachEntry> reach_entries_;
+  std::vector<uint32_t> reach_visited_;    // [edge step * nodes + node].
+  std::vector<uint32_t> reach_witnessed_;  // [end node].
+  std::vector<uint32_t> reach_path_;       // BuildReachChain ancestors.
+  const std::vector<int32_t> no_tags_;     // Fast routes emit no kTag.
+  MatchRoute route_ = MatchRoute::kScalar;
   size_t batch_blocks_ = 0;
   size_t batch_candidates_ = 0;
   size_t batch_survivors_ = 0;
@@ -1099,6 +1314,7 @@ struct ShardOutcome {
   Status status = Status::OK();
   std::vector<PathBinding> results;
   size_t steps = 0;
+  MatchRoute route = MatchRoute::kScalar;
   size_t batch_blocks = 0;
   size_t batch_candidates = 0;
   size_t batch_survivors = 0;
@@ -1110,17 +1326,31 @@ struct ShardOutcome {
 /// remainder when it ends, so the budget's outcome stays exact.
 constexpr size_t kParallelChargeStride = 256;
 
-void RunShard(const PropertyGraph& g, const Program& program,
-              const VarTable& vars, const MatcherOptions& options,
-              const NodeId* seeds, size_t num_seeds, SharedBudget* budget,
-              size_t charge_stride, const Params* params, bool keep_partial,
+/// What every shard of one RunPattern call shares besides its seed block.
+struct ShardContext {
+  const PropertyGraph& g;
+  const Program& program;
+  const VarTable& vars;
+  const MatcherOptions& options;
+  SharedBudget* budget;  // nullptr: single shard, local step counter.
+  size_t charge_stride;
+  const Params* params;
+  bool keep_partial;
+  size_t match_cap;
+  const std::vector<NodeId>* end_filter;
+};
+
+void RunShard(const ShardContext& ctx, const NodeId* seeds, size_t num_seeds,
               ShardOutcome* out) {
   obs::Stopwatch shard_clock;
-  Matcher m(g, program, vars, options, seeds, num_seeds, budget,
-            charge_stride, params);
+  SharedBudget* budget = ctx.budget;
+  Matcher m(ctx.g, ctx.program, ctx.vars, ctx.options, seeds, num_seeds,
+            budget, ctx.charge_stride, ctx.params, ctx.match_cap,
+            ctx.end_filter);
   out->status = m.Run();
   if (out->status.ok() && budget != nullptr) out->status = m.FlushSteps();
   out->steps = m.steps();
+  out->route = m.route();
   out->batch_blocks = m.batch_blocks();
   out->batch_candidates = m.batch_candidates();
   out->batch_survivors = m.batch_survivors();
@@ -1129,16 +1359,20 @@ void RunShard(const PropertyGraph& g, const Program& program,
     out->ms = shard_clock.ElapsedMs();
     return;
   }
-  // Partial-delivery mode (streaming cursors): budget exhaustion keeps the
+  // Partial-delivery mode (kTruncate): budget exhaustion keeps the
   // bindings found so far instead of discarding them; the caller reports
   // the truncation through a flag rather than an error.
-  if (keep_partial && out->status.code() == StatusCode::kResourceExhausted) {
-    out->results = m.TakeResults();
-  }
+  const bool partial = ctx.keep_partial &&
+                       out->status.code() == StatusCode::kResourceExhausted;
+  if (partial) out->results = m.TakeResults();
+  // A genuine failure tells sibling shards to stop at their next budget
+  // check instead of finishing doomed work — except a partial match cut:
+  // earlier shards must finish their blocks for the merged prefix to be
+  // the sequential one.
   if (budget != nullptr &&
-      out->status.message() != SharedBudget::kAbortedBySibling) {
-    // A genuine failure: tell sibling shards to stop at their next budget
-    // check instead of finishing doomed work.
+      out->status.message() != SharedBudget::kAbortedBySibling &&
+      !(partial &&
+        out->status.message() == SharedBudget::kMatchesExceeded)) {
     budget->Abort();
   }
   out->ms = shard_clock.ElapsedMs();
@@ -1160,14 +1394,19 @@ Status MergeStatuses(const std::vector<ShardOutcome>& outcomes) {
 }
 
 /// Concatenates shard results in shard order (= seed-index order), removes
-/// cross-shard duplicates keeping the first occurrence, stable-sorts by path
-/// length, and applies the selector — exactly the sequential pipeline:
-/// sequential discovery order equals the shard-order concatenation because
-/// shards are contiguous seed blocks (DFS emits per seed, BFS per level with
-/// seeds in order within each level, and equal bindings always have equal
-/// path length, so the keep-first choice is order-independent too).
+/// cross-shard duplicates keeping the first occurrence, cuts the result to
+/// `match_cap` accepts, stable-sorts by path length, and applies the
+/// selector — exactly the sequential pipeline: sequential discovery order
+/// equals the shard-order concatenation because shards are contiguous seed
+/// blocks (DFS and the fast routes emit per seed, BFS per level with seeds
+/// in order within each level, and equal bindings always have equal path
+/// length, so the keep-first choice is order-independent too). Each shard
+/// capped its own accepts at `match_cap`, so the cut keeps the sequential
+/// run's first accepts. `*accepted` receives the pre-selector count kept;
+/// `*over_cap` whether the cut dropped any.
 MatchSet MergeShards(std::vector<ShardOutcome> outcomes,
-                     const Program& program, bool cross_shard_dedup) {
+                     const Program& program, bool cross_shard_dedup,
+                     size_t match_cap, size_t* accepted, bool* over_cap) {
   std::vector<PathBinding> all;
   size_t total = 0;
   for (const ShardOutcome& o : outcomes) total += o.results.size();
@@ -1196,6 +1435,9 @@ MatchSet MergeShards(std::vector<ShardOutcome> outcomes,
     }
     all = std::move(uniq);
   }
+  *over_cap = all.size() > match_cap;
+  if (*over_cap) all.resize(match_cap);
+  *accepted = all.size();
 
   // DFS results sort by length here (historically SortResults); BFS results
   // are already level-ordered, so the stable sort is the identity — either
@@ -1219,7 +1461,8 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
                             const std::vector<NodeId>* seed_filter,
                             MatchStats* stats, const Params* params,
                             SharedBudget* shared_budget,
-                            bool* budget_exhausted) {
+                            bool* budget_exhausted,
+                            const std::vector<NodeId>* end_filter) {
   obs::Stopwatch run_clock;
   std::vector<NodeId> seeds = ComputeSeeds(g, program, seed_filter);
   const double seed_ms = run_clock.ElapsedMs();
@@ -1235,21 +1478,24 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
       std::max<size_t>(1, std::min(threads, seeds.size() / per_shard));
 
   SharedBudget local_budget(options.max_steps, options.max_matches);
+  const size_t match_cap = shared_budget != nullptr
+                               ? shared_budget->MatchesLeft()
+                               : options.max_matches;
   std::vector<ShardOutcome> outcomes(shards);
   bool seeds_distinct = true;
+  ShardContext ctx{g, program, vars, options, shared_budget,
+                   /*charge_stride=*/1, params, keep_partial, match_cap,
+                   end_filter};
 
   if (shards == 1) {
-    // Single shard: with no external budget, plain local counters — no
-    // atomics, RecordAccept's dedup already global: exactly the historical
-    // sequential engine. An external budget (streaming cursor chunks) is
-    // charged per step (stride 1), so the cumulative limit fires at the
-    // same instruction a single materializing call would have stopped at.
-    RunShard(g, program, vars, options, seeds.data(), seeds.size(),
-             /*budget=*/shared_budget, /*charge_stride=*/1, params,
-             keep_partial, &outcomes[0]);
+    // Single shard: with no external budget, a plain local step counter —
+    // no atomics, RecordAccept's dedup already global: exactly the
+    // historical sequential engine. An external budget (streaming cursor
+    // chunks) is charged per step (stride 1), so the cumulative limit fires
+    // at the same instruction a single materializing call would have
+    // stopped at.
+    RunShard(ctx, seeds.data(), seeds.size(), &outcomes[0]);
   } else {
-    SharedBudget* budget =
-        shared_budget != nullptr ? shared_budget : &local_budget;
     // Equal bindings always share their start node (reduction keeps the
     // first node binding), so cross-shard duplicates exist only if the
     // seed list itself repeats a node — possible only through an external
@@ -1259,6 +1505,8 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
     seeds_distinct = distinct.size() == seeds.size();
 
     // Contiguous seed blocks preserve seed-index order across the merge.
+    if (ctx.budget == nullptr) ctx.budget = &local_budget;
+    ctx.charge_stride = kParallelChargeStride;
     std::vector<std::thread> workers;
     workers.reserve(shards);
     const size_t base = seeds.size() / shards;
@@ -1266,11 +1514,8 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
     size_t offset = 0;
     for (size_t i = 0; i < shards; ++i) {
       size_t count = base + (i < extra ? 1 : 0);
-      workers.emplace_back(RunShard, std::cref(g), std::cref(program),
-                           std::cref(vars), std::cref(options),
-                           seeds.data() + offset, count, budget,
-                           kParallelChargeStride, params, keep_partial,
-                           &outcomes[i]);
+      workers.emplace_back(RunShard, std::cref(ctx), seeds.data() + offset,
+                           count, &outcomes[i]);
       offset += count;
     }
     for (std::thread& t : workers) t.join();
@@ -1279,6 +1524,7 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
   if (stats != nullptr) {
     stats->seeds = seeds.size();
     stats->steps = 0;
+    stats->route = outcomes[0].route;
     stats->batch_blocks = 0;
     stats->batch_candidates = 0;
     stats->batch_survivors = 0;
@@ -1299,26 +1545,42 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
       if (stats != nullptr) stats->match_ms = run_clock.ElapsedMs();
       return merged;
     }
-    // Deliver the partial set below. A step cut keeps a seed-order prefix:
-    // shards before the first one cut short finished their blocks, so
-    // dropping every later shard's bindings leaves a prefix of the
-    // discovery order a sequential run would have produced. A match cut
-    // keeps every shard's bindings: they are results within max_matches,
-    // and a prefix could leave none.
+    // Deliver the partial set below, cut to a seed-order prefix: shards
+    // before the first one cut short finished their blocks, so dropping
+    // every later shard's bindings leaves a prefix of the discovery order
+    // a sequential run would have produced.
     *budget_exhausted = true;
-    if (merged.message() == SharedBudget::kStepsExceeded) {
-      size_t cut = 0;
-      while (outcomes[cut].status.ok()) ++cut;
-      for (size_t i = cut + 1; i < outcomes.size(); ++i) {
-        outcomes[i].results.clear();
-      }
+    size_t cut = 0;
+    while (outcomes[cut].status.ok()) ++cut;
+    for (size_t i = cut + 1; i < outcomes.size(); ++i) {
+      outcomes[i].results.clear();
     }
   }
+  size_t accepted = 0;
+  bool over_cap = false;
   MatchSet result =
       MergeShards(std::move(outcomes), program,
-                  /*cross_shard_dedup=*/shards > 1 && !seeds_distinct);
+                  /*cross_shard_dedup=*/shards > 1 && !seeds_distinct,
+                  match_cap, &accepted, &over_cap);
   if (stats != nullptr) stats->match_ms = run_clock.ElapsedMs();
+  if (over_cap) {
+    // No shard alone passed the cap, but their concatenation did.
+    if (!keep_partial) {
+      return Status::ResourceExhausted(SharedBudget::kMatchesExceeded);
+    }
+    *budget_exhausted = true;
+  }
+  if (shared_budget != nullptr) shared_budget->ChargeMatches(accepted);
   return result;
+}
+
+const char* MatchRouteName(MatchRoute route) {
+  switch (route) {
+    case MatchRoute::kScalar: return "scalar";
+    case MatchRoute::kBatch: return "batch";
+    case MatchRoute::kReach: return "reach";
+  }
+  return "scalar";
 }
 
 }  // namespace gpml

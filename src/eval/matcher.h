@@ -24,7 +24,8 @@ namespace gpml {
 /// ends, so a call fails (or is flagged truncated) exactly when its total
 /// steps exceed max_steps, at every thread count.
 struct MatcherOptions {
-  size_t max_matches = 1u << 20;       // Accepted bindings (pre-selector).
+  size_t max_matches = 1u << 20;       // Accepted bindings (after the end
+                                       // filter, pre-selector).
   size_t max_steps = 200u << 20;       // Executed instructions.
   /// Seed-partitioned worker threads. 1 (the default) runs the exact
   /// sequential engine; N > 1 shards the seed list into N contiguous blocks
@@ -55,7 +56,10 @@ struct MatcherOptions {
   /// accounting differs, because the batch path charges per adjacency
   /// candidate rather than per interpreter instruction. Patterns outside
   /// the eligible shape (selectors, quantifiers, restrictors, non-kernel
-  /// WHEREs) fall back to the scalar interpreter automatically.
+  /// WHEREs) fall back to the scalar interpreter automatically. The same
+  /// switch gates the reachability route for quantified ANY / ANY SHORTEST
+  /// programs (ReachPlan), which materializes only the witness it keeps
+  /// per endpoint partition.
   bool use_batch = true;
 };
 
@@ -84,6 +88,9 @@ class SharedBudget {
   static constexpr const char* kStepsExceeded =
       "match search exceeded max_steps; tighten the pattern or raise "
       "MatcherOptions::max_steps";
+  static constexpr const char* kMatchesExceeded =
+      "match set exceeded max_matches; add restrictors/selectors or "
+      "raise MatcherOptions::max_matches";
 
   /// Charges `n` executed instructions; kResourceExhausted once the total
   /// exceeds max_steps.
@@ -98,15 +105,20 @@ class SharedBudget {
     return Status::OK();
   }
 
-  /// Charges one accepted (post-dedup) binding against max_matches.
-  Status ChargeMatch() {
-    if (matches_.fetch_add(1, std::memory_order_relaxed) + 1 > max_matches_) {
-      exhausted_.store(true, std::memory_order_relaxed);
-      return Status::ResourceExhausted(
-          "match set exceeded max_matches; add restrictors/selectors or "
-          "raise MatcherOptions::max_matches");
-    }
-    return Status::OK();
+  /// Accepted bindings still within max_matches. Every shard of a call
+  /// caps its own accepts at this figure; the merge then cuts the
+  /// shard-order concatenation to it, so a match cut is the sequential
+  /// prefix at every thread count.
+  size_t MatchesLeft() const {
+    const size_t used = matches_.load(std::memory_order_relaxed);
+    return used >= max_matches_ ? 0 : max_matches_ - used;
+  }
+
+  /// Charges `n` delivered bindings (at most MatchesLeft()) — once per
+  /// call, after the merge, so successive calls sharing the budget (the
+  /// cursor's chunks) never deliver more than max_matches in total.
+  void ChargeMatches(size_t n) {
+    matches_.fetch_add(n, std::memory_order_relaxed);
   }
 
   /// Tells sibling shards to stop at their next budget check (set when a
@@ -132,12 +144,22 @@ struct MatchSet {
 /// ANALYZE-style reporting). Filled once after all shards join — workers
 /// count locally and the totals are merged at the end, so the struct stays
 /// plain data with no synchronization.
+/// The matcher route a RunPattern call took (EXPLAIN ANALYZE
+/// `actual_route=`): the tuple-at-a-time interpreter (DFS, or BFS under a
+/// selector), the block-at-a-time batch route, or the reachability route.
+enum class MatchRoute { kScalar, kBatch, kReach };
+
+/// "scalar", "batch", or "reach".
+const char* MatchRouteName(MatchRoute route);
+
 struct MatchStats {
   size_t seeds = 0;   // Start nodes seeded.
   size_t steps = 0;   // Interpreter instructions executed (summed over shards).
-  // Batch-path counters (zero when the scalar interpreter ran):
-  size_t batch_blocks = 0;      // Frontier blocks expanded.
-  size_t batch_candidates = 0;  // Adjacency candidates gathered into blocks.
+  MatchRoute route = MatchRoute::kScalar;
+  // Fast-route counters (zero when the scalar interpreter ran):
+  size_t batch_blocks = 0;      // Frontier blocks (reach: BFS levels)
+                                // expanded.
+  size_t batch_candidates = 0;  // Adjacency candidates gathered.
   size_t batch_survivors = 0;   // Candidates surviving all filter passes.
   // Wall-clock timings (monotonic clock, see obs/clock.h), always measured:
   // two clock reads per region, far below the bench_obs 2% overhead gate.
@@ -155,6 +177,9 @@ struct MatchStats {
 /// termination rules guarantee finiteness through restrictors); patterns
 /// with a selector run a level-order BFS that emits matches in increasing
 /// path length with per-product-state pruning sound for each selector kind.
+/// With MatcherOptions::use_batch, eligible fixed-length patterns run the
+/// batch route and eligible quantified ANY / ANY SHORTEST patterns the
+/// reachability route instead; rows are byte-identical either way.
 ///
 /// With `options.num_threads > 1` the seed list is split into contiguous
 /// blocks, one per worker; per-seed searches are independent (the paper's
@@ -181,6 +206,15 @@ struct MatchStats {
 /// returned with *budget_exhausted = true (non-budget errors still fail
 /// the call). A set cut by max_steps is a seed-order prefix of the full
 /// run's discovery order; its length depends on shard timing when sharded.
+/// A set cut by max_matches is exactly the first max_matches accepts of
+/// the sequential run at every thread count.
+///
+/// `end_filter`, when non-null, lists (ascending, distinct) the only nodes
+/// an accepted path may end at: the planner passes the values earlier
+/// declarations bound to the pattern's final node variable. Accepts ending
+/// elsewhere are dropped before they count against max_matches. Selectors
+/// partition by endpoints, so the surviving bindings are exactly the full
+/// run's bindings that end in the filter.
 Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
                             const VarTable& vars,
                             const MatcherOptions& options,
@@ -188,7 +222,8 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
                             MatchStats* stats = nullptr,
                             const Params* params = nullptr,
                             SharedBudget* shared_budget = nullptr,
-                            bool* budget_exhausted = nullptr);
+                            bool* budget_exhausted = nullptr,
+                            const std::vector<NodeId>* end_filter = nullptr);
 
 /// The start-node seed list RunPattern derives for `program`: the explicit
 /// filter when given, else the most selective required-label index of the

@@ -342,6 +342,214 @@ std::shared_ptr<const BatchPlan> BuildBatchPlan(const Program& program,
   return plan;
 }
 
+/// Builds the reachability plan (see ReachPlan in nfa.h). Shape checks
+/// first: every condition under which the scalar BFS's ANY pruning key
+/// (StateKey) collapses to (edge-step position, node) per start node —
+/// no restrictor memories, no provenance tags, no named variables other
+/// than the start and final nodes, and iteration frames whose contents at
+/// a parked edge step are fixed by the position (a single edge, no forks).
+/// Then the epsilon closures are unrolled in worklist order.
+class ReachCompiler {
+ public:
+  ReachCompiler(const Program& program, const PropertyGraph& g,
+               const VarTable& vars, ReachPlan* plan)
+      : program_(program), g_(g), vars_(vars), plan_(*plan) {}
+
+  bool Build() {
+    const Selector::Kind kind = program_.selector.kind;
+    if (kind != Selector::Kind::kAny && kind != Selector::Kind::kAnyShortest) {
+      return false;
+    }
+    if (program_.num_scopes != 0 || program_.max_depth > 1) return false;
+    const std::vector<Instr>& code = program_.code;
+    const Instr& first = code[static_cast<size_t>(program_.start)];
+    if (first.op != Instr::Op::kNodeCheck) return false;
+    start_var_ = vars_.info(first.var).anonymous ? -1 : first.var;
+
+    edge_index_.assign(code.size(), -1);
+    for (size_t pc = 0; pc < code.size(); ++pc) {
+      const Instr& in = code[pc];
+      switch (in.op) {
+        case Instr::Op::kTag:
+        case Instr::Op::kWhereCheck:
+        case Instr::Op::kScopeBegin:
+        case Instr::Op::kScopeEnd:
+          return false;
+        case Instr::Op::kFrameBegin:
+          if (!in.quant_frame || !SingleEdgeBody(pc)) return false;
+          break;
+        case Instr::Op::kEdgeStep: {
+          if (!vars_.info(in.var).anonymous) return false;
+          ReachPlan::EdgeStep es;
+          es.pc = static_cast<int>(pc);
+          es.var = in.var;
+          if (in.edge->where != nullptr) {
+            es.has_kernel = true;
+            if (!PredicateKernel::Compile(*in.edge->where, in.var, vars_,
+                                          g_.property_symbols(), &es.kernel)) {
+              return false;
+            }
+          }
+          edge_index_[pc] = static_cast<int>(plan_.edges.size());
+          plan_.edges.push_back(std::move(es));
+          break;
+        }
+        default:
+          break;
+      }
+    }
+    if (plan_.edges.empty()) return false;
+
+    check_index_.assign(code.size(), -1);
+    plan_.start_begin = static_cast<uint32_t>(plan_.items.size());
+    if (!Walk(program_.start, 0)) return false;
+    plan_.start_end = static_cast<uint32_t>(plan_.items.size());
+    for (ReachPlan::EdgeStep& es : plan_.edges) {
+      es.item_begin = static_cast<uint32_t>(plan_.items.size());
+      if (!Walk(code[static_cast<size_t>(es.pc)].next, 0)) return false;
+      es.item_end = static_cast<uint32_t>(plan_.items.size());
+    }
+    return true;
+  }
+
+ private:
+  /// The iteration frame opened at `begin` holds exactly one edge step and
+  /// no forks or nested frames before its kFrameEnd.
+  bool SingleEdgeBody(size_t begin) const {
+    size_t edges = 0;
+    for (size_t pc = begin + 1; pc < program_.code.size(); ++pc) {
+      const Instr& in = program_.code[pc];
+      if (in.next != static_cast<int>(pc) + 1) return false;
+      switch (in.op) {
+        case Instr::Op::kFrameEnd: return edges == 1;
+        case Instr::Op::kEdgeStep: ++edges; break;
+        case Instr::Op::kNodeCheck: break;
+        default: return false;
+      }
+    }
+    return false;
+  }
+
+  /// The node_checks index of the kNodeCheck at `pc`, compiling it on
+  /// first use; -1 when the position disqualifies the program.
+  int CheckAt(int pc) {
+    int& slot = check_index_[static_cast<size_t>(pc)];
+    if (slot >= 0) return slot;
+    const Instr& in = program_.code[static_cast<size_t>(pc)];
+    const bool is_final =
+        program_.code[static_cast<size_t>(in.next)].op == Instr::Op::kAccept;
+    ReachPlan::NodeCheck nc;
+    nc.pc = pc;
+    nc.var = in.var;
+    if (!vars_.info(in.var).anonymous) {
+      // Named nodes: the start (bound once per seed) and final positions
+      // (bound right before the accept) only, so no parked state carries a
+      // per-path environment entry.
+      if (pc != program_.start && !is_final) return -1;
+      nc.eq_start = pc != program_.start && in.var == start_var_;
+    }
+    if (in.node->where != nullptr) {
+      nc.has_kernel = true;
+      if (!PredicateKernel::Compile(*in.node->where, in.var, vars_,
+                                    g_.property_symbols(), &nc.kernel)) {
+        return -1;
+      }
+    }
+    nc.trivial = !nc.eq_start && !nc.has_kernel && in.node->labels == nullptr;
+    slot = static_cast<int>(plan_.node_checks.size());
+    plan_.node_checks.push_back(std::move(nc));
+    return slot;
+  }
+
+  /// Unrolls the epsilon closure from `pc` exactly as the interpreter's
+  /// AdvanceEpsilon visits it: a split explores `next` to completion before
+  /// `alt` (LIFO worklist). `local_frames` counts iteration frames opened
+  /// within this closure; a guarded kFrameEnd closing one of them saw no
+  /// edge and kills the branch. False disqualifies the program.
+  bool Walk(int pc, int local_frames) {
+    const size_t checks_at_entry = pending_.size();
+    bool ok = true;
+    while (ok) {
+      if (++budget_ > kMaxWalk) return false;
+      const Instr& in = program_.code[static_cast<size_t>(pc)];
+      bool done = false;
+      switch (in.op) {
+        case Instr::Op::kNodeCheck: {
+          int idx = CheckAt(pc);
+          if (idx < 0) return false;
+          pending_.push_back(static_cast<uint32_t>(idx));
+          pc = in.next;
+          break;
+        }
+        case Instr::Op::kEdgeStep:
+        case Instr::Op::kAccept:
+          Emit(in.op == Instr::Op::kEdgeStep
+                   ? edge_index_[static_cast<size_t>(pc)]
+                   : -1);
+          done = true;
+          break;
+        case Instr::Op::kSplit:
+          ok = Walk(in.next, local_frames);
+          pc = in.alt;
+          break;
+        case Instr::Op::kJump:
+          pc = in.next;
+          break;
+        case Instr::Op::kFrameBegin:
+          ++local_frames;
+          pc = in.next;
+          break;
+        case Instr::Op::kFrameEnd:
+          if (local_frames > 0) {
+            if (in.guard_progress) {
+              done = true;  // Zero-width iteration: the branch dies.
+              break;
+            }
+            --local_frames;
+          }
+          pc = in.next;
+          break;
+        default:
+          return false;
+      }
+      if (done) break;
+    }
+    pending_.resize(checks_at_entry);
+    return ok;
+  }
+
+  void Emit(int edge) {
+    ReachPlan::Item item;
+    item.edge = edge;
+    item.check_begin = static_cast<uint32_t>(plan_.checks.size());
+    plan_.checks.insert(plan_.checks.end(), pending_.begin(), pending_.end());
+    item.check_end = static_cast<uint32_t>(plan_.checks.size());
+    plan_.items.push_back(item);
+  }
+
+  /// Bound on unrolled closure work: a pathological program (deep unrolled
+  /// bounded quantifiers) stays on the scalar route instead of exploding.
+  static constexpr size_t kMaxWalk = 1u << 14;
+
+  const Program& program_;
+  const PropertyGraph& g_;
+  const VarTable& vars_;
+  ReachPlan& plan_;
+  int start_var_ = -1;
+  std::vector<int> edge_index_;   // pc -> index into plan_.edges.
+  std::vector<int> check_index_;  // pc -> index into plan_.node_checks.
+  std::vector<uint32_t> pending_; // Node checks on the current walk path.
+  size_t budget_ = 0;
+};
+
+std::shared_ptr<const ReachPlan> BuildReachPlan(const Program& program,
+                                                const PropertyGraph& g,
+                                                const VarTable& vars) {
+  auto plan = std::make_shared<ReachPlan>();
+  plan->eligible = ReachCompiler(program, g, vars, plan.get()).Build();
+  return plan;
+}
+
 }  // namespace
 
 void BindProgramToGraph(Program* program, const PropertyGraph& g,
@@ -397,11 +605,14 @@ void BindProgramToGraph(Program* program, const PropertyGraph& g,
     in.edge_label_sym = best;
   }
 
-  // Batch eligibility + kernel compilation. Derived data only — both the
-  // scalar and the vectorized matcher run the same bound program; without a
-  // variable table (tests binding raw programs) the batch path stays off.
+  // Batch / reachability eligibility + kernel compilation. Derived data
+  // only — the fast routes and the scalar interpreter run the same bound
+  // program; without a variable table (tests binding raw programs) both
+  // fast routes stay off.
   program->batch =
       vars != nullptr ? BuildBatchPlan(*program, g, *vars) : nullptr;
+  program->reach =
+      vars != nullptr ? BuildReachPlan(*program, g, *vars) : nullptr;
 }
 
 }  // namespace gpml

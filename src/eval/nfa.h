@@ -105,6 +105,56 @@ struct BatchPlan {
   bool eligible = false;
 };
 
+/// The reachability plan of a program (docs/vectorized.md, "Reachability
+/// route"). Built by BindProgramToGraph for ANY / ANY SHORTEST programs
+/// without restrictors or multiset tags whose quantified bodies are single
+/// edges (at most one level of quantifier nesting), whose interior node and
+/// edge variables are all anonymous, and whose inline WHEREs all compile
+/// into PredicateKernels. For those programs the scalar BFS prunes on
+/// exactly (edge-step position, node) per start node, so a BFS over those
+/// pairs with first-admission reproduces its first witness per endpoint
+/// partition. Anything else leaves `eligible` false.
+struct ReachPlan {
+  /// One kNodeCheck position met in an epsilon closure.
+  struct NodeCheck {
+    int pc = -1;
+    int var = -1;
+    /// A named final node joined to the start variable (`(x)...(x)`): the
+    /// node must be the seed itself.
+    bool eq_start = false;
+    /// Nothing to check: no label expression, no WHERE, no equi-join.
+    bool trivial = true;
+    bool has_kernel = false;
+    PredicateKernel kernel;
+  };
+  /// One terminal of an epsilon closure, in the order the scalar
+  /// interpreter's worklist reaches it: park at an edge step (`edge` >= 0,
+  /// an index into `edges`) or accept (`edge` == -1), after passing the
+  /// node checks checks[check_begin, check_end) on the same node.
+  struct Item {
+    int edge = -1;
+    uint32_t check_begin = 0;
+    uint32_t check_end = 0;
+  };
+  /// One kEdgeStep position. Its closure — everything reachable from its
+  /// `next` without consuming another edge — is items[item_begin, item_end).
+  struct EdgeStep {
+    int pc = -1;
+    int var = -1;
+    bool has_kernel = false;
+    PredicateKernel kernel;
+    uint32_t item_begin = 0;
+    uint32_t item_end = 0;
+  };
+  std::vector<NodeCheck> node_checks;
+  std::vector<uint32_t> checks;  // Indices into node_checks, per item.
+  std::vector<Item> items;
+  std::vector<EdgeStep> edges;
+  uint32_t start_begin = 0;  // Closure of Program::start: items[start_begin,
+  uint32_t start_end = 0;    // start_end).
+  bool eligible = false;
+};
+
 /// A compiled top-level path pattern.
 struct Program {
   std::vector<Instr> code;
@@ -126,6 +176,10 @@ struct Program {
   /// interpreter. Stored on the program so plan-cache hits reuse the
   /// compiled kernels exactly like they reuse label_preds.
   std::shared_ptr<const BatchPlan> batch;
+  /// Reachability plan for quantified ANY / ANY SHORTEST programs, built
+  /// and cached alongside `batch`; nullptr (or !eligible) routes selector
+  /// programs to the scalar BFS.
+  std::shared_ptr<const ReachPlan> reach;
 
   std::string ToString() const;  // Disassembly for tests/debugging.
 };
@@ -145,10 +199,11 @@ Result<Program> CompilePattern(const PathPatternDecl& decl,
 /// entries on the graph identity token. Unbound programs still execute
 /// correctly through the legacy string paths.
 ///
-/// When `vars` is non-null the batch plan is built too (Program::batch):
-/// shape eligibility, per-position equi-join targets, bind-time label
-/// hoisting, and the inline-WHERE predicate kernels — all derived data, so
-/// both the batch and scalar routes can run the same bound program.
+/// When `vars` is non-null the batch and reachability plans are built too
+/// (Program::batch, Program::reach): shape eligibility, per-position
+/// equi-join targets, bind-time label hoisting, epsilon closures, and the
+/// inline-WHERE predicate kernels — all derived data, so the fast routes
+/// and the scalar interpreter can run the same bound program.
 void BindProgramToGraph(Program* program, const PropertyGraph& g,
                         const VarTable* vars = nullptr);
 

@@ -1,9 +1,7 @@
 #include "gql/session.h"
 
+#include "gql/host_surface.h"
 #include "gql/result_table.h"
-#include "obs/metrics.h"
-#include "obs/prometheus.h"
-#include "obs/snapshot_filter.h"
 #include "parser/parser.h"
 #include "planner/explain.h"
 
@@ -69,36 +67,28 @@ Result<analysis::DiagnosticList> Session::Lint(
   if (graph_ == nullptr) {
     return Status::InvalidArgument("no graph selected; call UseGraph first");
   }
-  Engine engine(*graph_, options_);
-  return engine.Lint(match_text);
+  return HostLint(*graph_, options_, match_text);
 }
 
 Result<std::string> Session::MetricsText() const {
   if (graph_ == nullptr) {
     return Status::InvalidArgument("no graph selected; call UseGraph first");
   }
-  return obs::RenderPrometheus(*graph_->metrics_registry());
+  return HostMetricsText(*graph_);
 }
 
 Result<std::vector<obs::SlowQueryRecord>> Session::SlowQueries() const {
   if (graph_ == nullptr) {
     return Status::InvalidArgument("no graph selected; call UseGraph first");
   }
-  const obs::SlowQueryLog& log = options_.slow_log != nullptr
-                                     ? *options_.slow_log
-                                     : obs::GlobalSlowQueryLog();
-  return obs::FilterByGraphToken(log.Snapshot(), graph_->identity_token());
+  return HostSlowQueries(*graph_, options_.slow_log);
 }
 
 Result<std::vector<obs::QueryStatEntry>> Session::QueryStats() const {
   if (graph_ == nullptr) {
     return Status::InvalidArgument("no graph selected; call UseGraph first");
   }
-  const obs::QueryStatsStore& store = options_.query_stats != nullptr
-                                          ? *options_.query_stats
-                                          : obs::GlobalQueryStats();
-  return obs::FilterByGraphToken(store.Snapshot(),
-                                 graph_->identity_token());
+  return HostQueryStats(*graph_, options_.query_stats);
 }
 
 Result<std::string> Session::Explain(const std::string& statement,

@@ -2,10 +2,8 @@
 
 #include <cctype>
 
+#include "gql/host_surface.h"
 #include "gql/result_table.h"
-#include "obs/metrics.h"
-#include "obs/prometheus.h"
-#include "obs/snapshot_filter.h"
 #include "parser/parser.h"
 #include "planner/explain.h"
 
@@ -56,7 +54,7 @@ Result<std::string> GraphTableMetricsText(const Catalog& catalog,
                                           const std::string& graph) {
   GPML_ASSIGN_OR_RETURN(std::shared_ptr<const PropertyGraph> g,
                         catalog.GetGraph(graph));
-  return obs::RenderPrometheus(*g->metrics_registry());
+  return HostMetricsText(*g);
 }
 
 Result<analysis::DiagnosticList> GraphTableLint(const Catalog& catalog,
@@ -64,14 +62,13 @@ Result<analysis::DiagnosticList> GraphTableLint(const Catalog& catalog,
                                                 EngineOptions options) {
   GPML_ASSIGN_OR_RETURN(std::shared_ptr<const PropertyGraph> graph,
                         catalog.GetGraph(query.graph));
-  Engine engine(*graph, options);
   // Lint sees the text exactly as Prepare would: a leading EXPLAIN
   // [ANALYZE] is stripped, not diagnosed as a parse error.
   std::string text = query.match;
   std::string rest;
   if (planner::StripExplainPrefix(text, &rest)) text = rest;
   if (planner::StripAnalyzePrefix(text, &rest)) text = rest;
-  return engine.Lint(text);
+  return HostLint(*graph, options, text);
 }
 
 Result<std::vector<obs::SlowQueryRecord>> GraphTableSlowQueries(
@@ -79,9 +76,7 @@ Result<std::vector<obs::SlowQueryRecord>> GraphTableSlowQueries(
     const obs::SlowQueryLog* log) {
   GPML_ASSIGN_OR_RETURN(std::shared_ptr<const PropertyGraph> g,
                         catalog.GetGraph(graph));
-  const obs::SlowQueryLog& source =
-      log != nullptr ? *log : obs::GlobalSlowQueryLog();
-  return obs::FilterByGraphToken(source.Snapshot(), g->identity_token());
+  return HostSlowQueries(*g, log);
 }
 
 Result<std::vector<obs::QueryStatEntry>> GraphTableQueryStats(
@@ -89,9 +84,7 @@ Result<std::vector<obs::QueryStatEntry>> GraphTableQueryStats(
     const obs::QueryStatsStore* store) {
   GPML_ASSIGN_OR_RETURN(std::shared_ptr<const PropertyGraph> g,
                         catalog.GetGraph(graph));
-  const obs::QueryStatsStore& source =
-      store != nullptr ? *store : obs::GlobalQueryStats();
-  return obs::FilterByGraphToken(source.Snapshot(), g->identity_token());
+  return HostQueryStats(*g, store);
 }
 
 Result<GraphTableQuery> ParseGraphTableCall(const std::string& sql) {

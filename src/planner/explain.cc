@@ -157,6 +157,10 @@ std::string ExplainPlan(const Plan& plan, const VarTable& vars,
     } else {
       os << "all";
     }
+    if (dp.end_bound_var >= 0) {
+      // Accepts are restricted to the ends earlier declarations bound.
+      os << " end=bound:" << EscapeExplainValue(vars.name(dp.end_bound_var));
+    }
     os << " fanout~" << FormatEstimate(dp.anchor.fanout)
        // Inline-predicate selectivity the seed estimate used — exact when
        // histogram estimates resolved it, else the System-R constants.
@@ -170,6 +174,7 @@ std::string ExplainPlan(const Plan& plan, const VarTable& vars,
       if (a.ms >= 0) os << " actual_ms=" << FormatMs(a.ms);
       os << " actual_source="
          << (a.index_seeded ? "index" : (a.seed_filtered ? "bound" : "scan"));
+      if (!a.route.empty()) os << " actual_route=" << a.route;
     }
     std::string selector = dp.decl.selector.ToString();
     os << " selector="
@@ -256,6 +261,7 @@ Result<ExplainedPlan> ParseExplain(const std::string& text) {
     // characters, so unescaping the whole token restores exactly the value
     // part.
     d.source = UnescapeExplainValue(TokenValue(line, "source="));
+    d.end = UnescapeExplainValue(TokenValue(line, "end="));
     std::string join = TokenValue(line, "join=");
     if (join.size() >= 2 && join.front() == '[' && join.back() == ']') {
       std::string inner = join.substr(1, join.size() - 2);
@@ -275,6 +281,7 @@ Result<ExplainedPlan> ParseExplain(const std::string& text) {
       std::string actual_ms = TokenValue(line, "actual_ms=");
       if (!actual_ms.empty()) d.actual_ms = std::atof(actual_ms.c_str());
       d.actual_source = TokenValue(line, "actual_source=");
+      d.actual_route = TokenValue(line, "actual_route=");
     }
     out.decls.push_back(std::move(d));
   }

@@ -41,6 +41,9 @@ struct DeclActual {
   size_t bindings = 0;         // Match-set size before the join.
   bool index_seeded = false;   // Seeded from the equality hash index.
   bool seed_filtered = false;  // Seeded from earlier declarations' bindings.
+  std::string route;           // Matcher route ("scalar", "batch",
+                               // "reach"); rendered as actual_route= when
+                               // non-empty.
   double ms = -1;              // Declaration wall clock (seed + match);
                                // rendered as actual_ms= when >= 0.
   // Stage timings behind the execution trace's decl/seed/shard/join spans:
@@ -58,16 +61,22 @@ struct DeclActual {
 ///       fanout~1.5 join=[] selector=none
 ///   step 2: decl=1 dir=reversed anchor=right var=y seeds~3 source=bound:y
 ///       fanout~2 join=[x,y] selector=ALL SHORTEST
+///   step 3: decl=2 dir=forward anchor=left var=x seeds~* source=bound:x
+///       end=bound:y fanout~2 join=[x,y] selector=ANY
 ///
-/// (each step is a single line; wrapped here for readability). The `exec:`
+/// (each step is a single line; wrapped here for readability). `end=bound:`
+/// appears when earlier declarations bind the step's final node variable,
+/// so accepts ending elsewhere are dropped. The `exec:`
 /// line appears when `exec` is non-null. When `stats` is non-null a
 /// `-- graph stats --` section is appended. The format is parsed back by
 /// ParseExplain, which keeps renderer and parser honest. Free-form values
 /// (variable names, labels, selectors) are escaped with EscapeExplainValue
 /// so quotes, spaces, and newlines cannot break the line framing.
 /// `actuals`, when non-null (EXPLAIN ANALYZE), appends measured
-/// `actual_seeds/actual_steps/actual_rows/actual_ms/actual_source` tokens
-/// to each step line, where actual_source is `index`, `bound` or `scan`.
+/// `actual_seeds/actual_steps/actual_rows/actual_ms/actual_source/
+/// actual_route` tokens to each step line, where actual_source is `index`,
+/// `bound` or `scan` and actual_route is the matcher route that ran:
+/// `reach`, `batch` or `scalar`.
 /// `warnings`, when non-null and non-empty, renders the static analyzer's
 /// findings (docs/analysis.md) between the exec line and the steps:
 ///
@@ -112,6 +121,9 @@ struct ExplainedDecl {
   long actual_rows = -1;
   double actual_ms = -1;      // Wall-clock ms of this declaration.
   std::string actual_source;  // "index", "bound", "scan"; "" when absent.
+  std::string actual_route;   // "scalar", "batch", "reach"; "" when absent.
+  std::string end;            // `end=` source: "bound:<var>"; "" when the
+                              // line carried none.
 };
 
 /// A warning line of an EXPLAIN rendering, decoded. Mirrors

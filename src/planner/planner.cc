@@ -613,6 +613,12 @@ Result<Plan> PlanPattern(const GraphPattern& normalized, const VarTable& vars,
     dp.other = dp.reversed ? c.left : c.right;
     dp.anchor_var = dp.reversed ? c.right_var : c.left_var;
     if (is_join_var(dp.anchor_var)) dp.seed_bound_var = dp.anchor_var;
+    // The other end of the executed direction: its join bindings are the
+    // only ends that survive the join (selectors partition by endpoints).
+    const int end_var = dp.reversed ? c.left_var : c.right_var;
+    if (end_var != dp.anchor_var && is_join_var(end_var)) {
+      dp.end_bound_var = end_var;
+    }
     if (dp.reversed) {
       dp.decl = decl;
       dp.decl.pattern = ReversePathPattern(decl.pattern);

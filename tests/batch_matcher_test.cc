@@ -320,47 +320,54 @@ TEST(BatchMatcherTest, TruncatedRowsAreAPrefixOfTheOracle) {
   PropertyGraph g = BudgetGraph();
   EngineOptions base;
   base.use_batch = false;
+  base.num_threads = 1;
   Result<MatchOutput> oracle = Engine(g, base).Match(kBudgetQuery);
   ASSERT_TRUE(oracle.ok());
   std::vector<std::string> want = CanonRows(*oracle, g);
   ASSERT_GT(want.size(), 10u);
 
-  for (bool use_batch : {false, true}) {
-    // max_matches under kTruncate: the accepted-binding budget charges in
-    // identical order, so the truncated output is byte-identical.
-    EngineOptions options;
-    options.use_batch = use_batch;
-    options.on_budget = EngineOptions::BudgetPolicy::kTruncate;
-    options.matcher.max_matches = 7;
-    Result<MatchOutput> out = Engine(g, options).Match(kBudgetQuery);
-    ASSERT_TRUE(out.ok()) << out.status();
-    EXPECT_TRUE(out->truncated);
-    std::vector<std::string> got = CanonRows(*out, g);
-    ASSERT_LE(got.size(), want.size());
-    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
-        << "batch=" << use_batch << ": truncated rows are not a prefix";
+  // Every cell pins its thread count and shards even small seed lists.
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    for (bool use_batch : {false, true}) {
+      const std::string cell = "batch=" + std::to_string(use_batch) +
+                               " threads=" + std::to_string(threads);
+      // max_matches under kTruncate: each shard caps its own accepts and
+      // the shard-order concatenation is cut to the cap, so the truncated
+      // output is exactly the sequential run's first rows.
+      EngineOptions options;
+      options.use_batch = use_batch;
+      options.num_threads = threads;
+      options.matcher.min_seeds_per_shard = 1;
+      options.on_budget = EngineOptions::BudgetPolicy::kTruncate;
+      options.matcher.max_matches = 7;
+      Result<MatchOutput> out = Engine(g, options).Match(kBudgetQuery);
+      ASSERT_TRUE(out.ok()) << out.status();
+      EXPECT_TRUE(out->truncated) << cell;
+      std::vector<std::string> got = CanonRows(*out, g);
+      EXPECT_EQ(got, std::vector<std::string>(want.begin(), want.begin() + 7))
+          << cell << ": truncated rows are not the sequential prefix";
 
-    // max_steps under kTruncate: the two routes charge different step
-    // totals (the batch path charges per gathered candidate), so the
-    // truncation points differ — but whatever prefix survives must still
-    // be a prefix of the oracle's rows. Budget at half of this route's
-    // own full step count so it reliably trips mid-search.
-    EngineMetrics route_metrics;
-    Result<MatchOutput> full = RunMatch(g, kBudgetQuery, use_batch, 1, true,
-                                        false, &route_metrics);
-    ASSERT_TRUE(full.ok());
-    ASSERT_GT(route_metrics.matcher_steps, 100u);
-    EngineOptions steps;
-    steps.use_batch = use_batch;
-    steps.on_budget = EngineOptions::BudgetPolicy::kTruncate;
-    steps.matcher.max_steps = route_metrics.matcher_steps / 2;
-    Result<MatchOutput> clipped = Engine(g, steps).Match(kBudgetQuery);
-    ASSERT_TRUE(clipped.ok()) << clipped.status();
-    EXPECT_TRUE(clipped->truncated);
-    std::vector<std::string> prefix = CanonRows(*clipped, g);
-    ASSERT_LT(prefix.size(), want.size());
-    EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), want.begin()))
-        << "batch=" << use_batch << ": step-truncated rows diverge";
+      // max_steps under kTruncate: the two routes charge different step
+      // totals (the batch path charges per gathered candidate), so the
+      // truncation points differ — but whatever prefix survives must still
+      // be a prefix of the oracle's rows. Budget at half of this route's
+      // own full step count so it reliably trips mid-search.
+      EngineMetrics route_metrics;
+      Result<MatchOutput> full = RunMatch(g, kBudgetQuery, use_batch, 1, true,
+                                          false, &route_metrics);
+      ASSERT_TRUE(full.ok());
+      ASSERT_GT(route_metrics.matcher_steps, 100u);
+      EngineOptions steps = options;
+      steps.matcher.max_matches = MatcherOptions().max_matches;
+      steps.matcher.max_steps = route_metrics.matcher_steps / 2;
+      Result<MatchOutput> clipped = Engine(g, steps).Match(kBudgetQuery);
+      ASSERT_TRUE(clipped.ok()) << clipped.status();
+      EXPECT_TRUE(clipped->truncated) << cell;
+      std::vector<std::string> prefix = CanonRows(*clipped, g);
+      ASSERT_LT(prefix.size(), want.size()) << cell;
+      EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), want.begin()))
+          << cell << ": step-truncated rows diverge";
+    }
   }
 }
 

@@ -19,7 +19,8 @@ namespace gpml {
 namespace {
 
 // A fixed-length 2-hop pattern (stream mode; batch-eligible) and the
-// Figure 4 quantified transfer chain (kBatch cursor; scalar matcher).
+// Figure 4 quantified transfer chain (kBatch cursor; reachability route
+// with use_batch, scalar BFS without).
 const char* kQueries[] = {
     "MATCH (x:Account)-[:Transfer]->(y:Account)-[:Transfer]->(z:Account)",
     "MATCH ANY (x:Account WHERE x.isBlocked='no')-[:Transfer]->+"

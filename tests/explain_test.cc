@@ -85,6 +85,9 @@ TEST(ExplainTest, RoundtripsThePlan) {
     } else {
       EXPECT_EQ(ed.source, "all");
     }
+    EXPECT_EQ(ed.end, dp.end_bound_var >= 0
+                          ? "bound:" + vars.name(dp.end_bound_var)
+                          : std::string());
     ASSERT_EQ(ed.join_vars.size(), dp.join_vars.size());
     for (size_t j = 0; j < dp.join_vars.size(); ++j) {
       EXPECT_EQ(ed.join_vars[j], vars.name(dp.join_vars[j]));
@@ -111,6 +114,37 @@ TEST(ExplainTest, FraudQueryPlanDecisions) {
   EXPECT_EQ(parsed->decls[1].source, "bound:x");
   EXPECT_EQ(parsed->decls[1].join_vars,
             (std::vector<std::string>{"x", "y"}));
+  // Its final node y is bound by the first step too: accepts ending at any
+  // other node are dropped before the join.
+  EXPECT_EQ(parsed->decls[0].end, "");
+  EXPECT_EQ(parsed->decls[1].end, "bound:y");
+}
+
+TEST(ExplainTest, EndBoundVarRoundtrips) {
+  // A hand-built plan: the token sits between source= and fanout~ and
+  // parses back without disturbing either.
+  Result<GraphPattern> pattern =
+      ParseGraphPattern("MATCH (a)-[:T]->(b), ANY (a)-[:T]->+(b)");
+  ASSERT_TRUE(pattern.ok()) << pattern.status();
+  Result<GraphPattern> normalized = Normalize(*pattern);
+  ASSERT_TRUE(normalized.ok());
+  Result<Analysis> analysis = Analyze(*normalized);
+  ASSERT_TRUE(analysis.ok());
+  VarTable vars(*analysis);
+  planner::Plan plan = planner::DirectPlan(*normalized, vars);
+  ASSERT_EQ(plan.decls.size(), 2u);
+  plan.decls[1].seed_bound_var = vars.Find("a");
+  plan.decls[1].end_bound_var = vars.Find("b");
+  plan.decls[1].anchor.fanout = 2.5;
+  std::string text = planner::ExplainPlan(plan, vars);
+  EXPECT_NE(text.find("source=bound:a end=bound:b fanout~2.5"),
+            std::string::npos)
+      << text;
+  Result<planner::ExplainedPlan> parsed = planner::ParseExplain(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << text;
+  EXPECT_EQ(parsed->decls[0].end, "");
+  EXPECT_EQ(parsed->decls[1].source, "bound:a");
+  EXPECT_EQ(parsed->decls[1].end, "bound:b") << text;
 }
 
 TEST(ExplainTest, SeedIndexOffFallsBackToLabelScan) {
@@ -350,6 +384,10 @@ TEST(ExplainTest, ExplainAnalyzeRendersAndParsesActuals) {
     EXPECT_GE(d.actual_ms, 0) << *text;
     EXPECT_FALSE(d.actual_source.empty());
   }
+  // The matcher route each step took: the fixed-length co-location step
+  // runs batched, the quantified ANY chain on the reachability route.
+  EXPECT_EQ(parsed->decls[0].actual_route, "batch") << *text;
+  EXPECT_EQ(parsed->decls[1].actual_route, "reach") << *text;
   // The measured actuals agree with the engine's metrics.
   EngineMetrics metrics;
   EngineOptions options;
@@ -364,6 +402,19 @@ TEST(ExplainTest, ExplainAnalyzeRendersAndParsesActuals) {
   EXPECT_EQ(parsed->rows, metrics.rows);
 }
 
+TEST(ExplainTest, ActualRouteReportsTheScalarOracle) {
+  PropertyGraph g = BuildPaperGraph();
+  EngineOptions options;
+  options.use_batch = false;
+  Result<std::string> text = Engine(g, options).ExplainAnalyze(kFraudQuery);
+  ASSERT_TRUE(text.ok()) << text.status();
+  Result<planner::ExplainedPlan> parsed = planner::ParseExplain(*text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  for (const planner::ExplainedDecl& d : parsed->decls) {
+    EXPECT_EQ(d.actual_route, "scalar") << *text;
+  }
+}
+
 TEST(ExplainTest, PlainExplainCarriesNoActuals) {
   PropertyGraph g = BuildPaperGraph();
   Engine engine(g);
@@ -374,6 +425,7 @@ TEST(ExplainTest, PlainExplainCarriesNoActuals) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_FALSE(parsed->analyzed);
   EXPECT_EQ(parsed->decls[0].actual_seeds, -1);
+  EXPECT_EQ(parsed->decls[0].actual_route, "");
   EXPECT_LT(parsed->total_ms, 0);
   EXPECT_LT(parsed->decls[0].actual_ms, 0);
 }

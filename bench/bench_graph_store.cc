@@ -49,8 +49,11 @@ void BM_LabelIndexLookup(benchmark::State& state) {
   options.num_accounts = 10000;
   PropertyGraph g = MakeFraudGraph(options);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(g.NodesWithLabel("Account").size());
-    benchmark::DoNotOptimize(g.EdgesWithLabel("Transfer").size());
+    const SymbolTable& labels = g.label_symbols();
+    benchmark::DoNotOptimize(
+        g.NodesWithLabel(labels.Find("Account")).size());
+    benchmark::DoNotOptimize(
+        g.EdgesWithLabel(labels.Find("Transfer")).size());
   }
 }
 BENCHMARK(BM_LabelIndexLookup);

@@ -30,7 +30,7 @@ struct LabelExpr {
   static LabelExprPtr And(LabelExprPtr l, LabelExprPtr r);
   static LabelExprPtr Or(LabelExprPtr l, LabelExprPtr r);
 
-  /// `labels` must be sorted (as stored in ElementData).
+  /// `labels` must be sorted (as ElementView::labels() returns them).
   bool Matches(const std::vector<std::string>& labels) const;
 
   /// Appends the names an element *must* carry for this expression to match:

@@ -81,7 +81,7 @@ Relation Join(const Relation& a, const Relation& b) {
 bool PassesFilters(const PropertyGraph& g, NodeId n,
                    const std::vector<const CrpqFilter*>& filters) {
   for (const CrpqFilter* f : filters) {
-    const NodeData& nd = g.node(n);
+    const ElementView nd = g.node(n);
     if (!f->label.empty() && !nd.HasLabel(f->label)) return false;
     if (!f->property.empty() &&
         !(nd.GetProperty(f->property) == f->value)) {

@@ -266,12 +266,11 @@ constexpr size_t kFirstChunkSeeds = 8;
 constexpr size_t kMaxChunkSeeds = 4096;
 
 /// The matcher options an execution runs under: the engine's switches
-/// override the matcher's own (EngineOptions::num_threads/use_csr/use_batch).
+/// override the matcher's own (EngineOptions::num_threads/use_batch).
 MatcherOptions ExecMatcherOptions(const EngineOptions& options,
                                   size_t threads) {
   MatcherOptions m = options.matcher;
   m.num_threads = threads;
-  m.use_csr = options.use_csr;
   m.use_batch = options.use_batch;
   return m;
 }

@@ -97,11 +97,6 @@ struct EngineOptions {
   /// placeholders, so executions differing only in bound values share one
   /// entry (docs/planner.md).
   bool use_plan_cache = true;
-  /// Interned-storage fast paths (docs/storage.md): label-partitioned CSR
-  /// expansion and compiled symbol-id label predicates in the matcher. Off
-  /// runs the legacy full-adjacency scans with string label matching — the
-  /// differential oracle. Rows are byte-identical either way.
-  bool use_csr = true;
   /// Planner seeding from the (label, prop) = value equality hash index
   /// when an anchor endpoint carries a matching inline predicate (EXPLAIN:
   /// `source=index:<label>.<prop>`). The predicate may compare against a
@@ -113,10 +108,9 @@ struct EngineOptions {
   /// linear fixed-length patterns expand whole frontier blocks over the CSR
   /// with selection-vector filtering and predicate kernels compiled at
   /// plan-bind time. Off runs the tuple-at-a-time interpreter for every
-  /// pattern — the differential oracle, like use_csr above. Rows are
-  /// byte-identical either way; patterns outside the eligible shape fall
-  /// back to the scalar route automatically. Overrides
-  /// MatcherOptions::use_batch.
+  /// pattern — the differential oracle. Rows are byte-identical either way;
+  /// patterns outside the eligible shape fall back to the scalar route
+  /// automatically. Overrides MatcherOptions::use_batch.
   bool use_batch = true;
   /// Static query analysis at prepare time (docs/analysis.md): typed
   /// diagnostics over the normalized pattern — type errors fail Prepare,

@@ -374,7 +374,7 @@ Result<EvalValue> EvalExpr(const Expr& expr, const PropertyGraph& g,
           !edge->is_edge()) {
         return EvalValue::Of(Value::Null());
       }
-      const EdgeData& ed = g.edge(edge->id);
+      const ElementView ed = g.edge(edge->id);
       if (!ed.directed) return EvalValue::Of(Value::Bool(false));
       NodeId endpoint =
           expr.kind == Expr::Kind::kIsSourceOf ? ed.u : ed.v;

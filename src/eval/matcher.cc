@@ -185,7 +185,8 @@ std::vector<NodeId> ComputeSeeds(const PropertyGraph& g,
       in.node->labels->CollectRequiredNames(&required);
       const std::vector<NodeId>* best = nullptr;
       for (const std::string* name : required) {
-        const std::vector<NodeId>& candidates = g.NodesWithLabel(*name);
+        const std::vector<NodeId>& candidates =
+            g.NodesWithLabel(g.label_symbols().Find(*name));
         if (best == nullptr || candidates.size() < best->size()) {
           best = &candidates;
         }
@@ -296,50 +297,26 @@ class Matcher {
     return st;
   }
 
-  /// Label admissibility of a node check: the graph-bound symbol predicate
-  /// when available (bit tests, no strings), else the legacy string match.
-  bool NodeLabelsMatch(const Instr& in, NodeId node) const {
-    if (in.node->labels == nullptr) return true;
-    if (options_.use_csr && in.lpred >= 0) {
-      SymSpan syms = g_.node_label_syms(node);
-      return program_.label_preds[static_cast<size_t>(in.lpred)].Matches(
-          g_.node_label_bits(node), syms.data, syms.count);
-    }
-    return in.node->labels->Matches(g_.node(node).labels);
+  /// Label admissibility through the program's compiled symbol predicate
+  /// (bit tests, no strings); lpred < 0 means no label constraint.
+  bool NodeLabelOk(const Instr& in, NodeId node) const {
+    if (in.lpred < 0) return true;
+    SymSpan syms = g_.node_label_syms(node);
+    return program_.label_preds[static_cast<size_t>(in.lpred)].Matches(
+        g_.node_label_bits(node), syms.data, syms.count);
   }
-
-  /// Same for an edge step's label expression.
-  bool EdgeLabelsMatch(const Instr& in, EdgeId edge) const {
-    if (in.edge->labels == nullptr) return true;
-    if (options_.use_csr && in.lpred >= 0) {
-      SymSpan syms = g_.edge_label_syms(edge);
-      return program_.label_preds[static_cast<size_t>(in.lpred)].Matches(
-          g_.edge_label_bits(edge), syms.data, syms.count);
-    }
-    return in.edge->labels->Matches(g_.edge(edge).labels);
-  }
-
-  /// The adjacency records an edge step must consider from `node`: with the
-  /// CSR path and a usable label partition, the contiguous bucket of the
-  /// step's (most selective) label symbol; otherwise the full list.
-  /// `*prefiltered` reports that bucket membership already implies the label
-  /// expression (single plain names), so TryEdge skips the re-check.
-  AdjSpan ExpansionRange(const Instr& in, NodeId node,
-                         bool* prefiltered) const {
-    if (options_.use_csr && in.edge_label_sym != kNoLabelPartition) {
-      *prefiltered = in.edge_prefiltered;
-      if (in.edge_label_sym == kInvalidSymbol) return {};  // Unknown label.
-      return g_.csr().Range(node, in.edge_label_sym);
-    }
-    *prefiltered = false;
-    return g_.AdjacencySpan(node);
+  bool EdgeLabelOk(const Instr& in, EdgeId edge) const {
+    if (in.lpred < 0) return true;
+    SymSpan syms = g_.edge_label_syms(edge);
+    return program_.label_preds[static_cast<size_t>(in.lpred)].Matches(
+        g_.edge_label_bits(edge), syms.data, syms.count);
   }
 
   /// Checks a node pattern against `node` with `state`'s environment;
   /// returns false to prune. On success appends the binding (out).
   Result<bool> ApplyNodeCheck(const Instr& in, State* state) {
     const NodePattern& np = *in.node;
-    if (!NodeLabelsMatch(in, state->node)) return false;
+    if (!NodeLabelOk(in, state->node)) return false;
     ElementRef ref = ElementRef::Node(state->node);
 
     // Implicit equi-join (§4.2): a previous binding of the same variable in
@@ -434,16 +411,14 @@ class Matcher {
     }
   }
 
-  /// Attempts the edge step `in` from `state` over adjacency `adj`;
-  /// on success returns the successor state. `label_prechecked` is set when
-  /// `adj` came from the CSR partition that already guarantees the label
-  /// expression.
+  /// Attempts the edge step `in` from `state` over adjacency `adj` (a
+  /// record of the step's CSR range); on success returns the successor
+  /// state.
   Result<std::optional<State>> TryEdge(const Instr& in, const State& state,
-                                       const Adjacency& adj,
-                                       bool label_prechecked) {
+                                       const Adjacency& adj) {
     const EdgePattern& ep = *in.edge;
     if (!Admits(ep.orientation, adj.traversal)) return std::optional<State>();
-    if (!label_prechecked && !EdgeLabelsMatch(in, adj.edge)) {
+    if (!in.edge_prefiltered && !EdgeLabelOk(in, adj.edge)) {
       return std::optional<State>();
     }
     ElementRef ref = ElementRef::Edge(adj.edge);
@@ -645,12 +620,10 @@ class Matcher {
       State cur = std::move(stack.back());
       stack.pop_back();
       const Instr& in = program_.code[static_cast<size_t>(cur.pc)];
-      bool prefiltered = false;
-      AdjSpan range = ExpansionRange(in, cur.node, &prefiltered);
-      for (const Adjacency& adj : range) {
+      for (const Adjacency& adj : g_.csr().Range(cur.node, in.edge_label_sym)) {
         GPML_RETURN_IF_ERROR(ChargeSteps(1));
         GPML_ASSIGN_OR_RETURN(std::optional<State> next,
-                              TryEdge(in, cur, adj, prefiltered));
+                              TryEdge(in, cur, adj));
         if (next.has_value()) {
           GPML_RETURN_IF_ERROR(AdvanceEpsilon(std::move(*next), &stack));
         }
@@ -759,13 +732,9 @@ class Matcher {
     const Instr& edge_in = program_.code[static_cast<size_t>(es.pc)];
     const Instr& node_in = program_.code[static_cast<size_t>(ns.pc)];
     const EdgeOrientation orientation = edge_in.edge->orientation;
-    const bool edge_prefiltered = options_.use_csr &&
-                                  edge_in.edge_label_sym != kNoLabelPartition &&
-                                  edge_in.edge_prefiltered;
     const bool check_edge_label =
-        !edge_prefiltered && edge_in.edge->labels != nullptr;
-    const bool check_node_label =
-        node_in.node->labels != nullptr && !ns.label_implied;
+        !edge_in.edge_prefiltered && edge_in.lpred >= 0;
+    const bool check_node_label = node_in.lpred >= 0 && !ns.label_implied;
 
     const std::vector<FrontierEntry>& frontier = levels_[h];
     std::vector<FrontierEntry>& next = levels_[h + 1];
@@ -778,12 +747,11 @@ class Matcher {
       blk.Clear();
 
       // Gather: every adjacency candidate of the block's frontier entries,
-      // straight out of the contiguous CSR label bucket (or the full
-      // adjacency list when no partition applies).
+      // straight out of the contiguous CSR label bucket (or the node's
+      // full range when no partition applies).
       for (size_t f = base; f < limit; ++f) {
-        bool prefiltered = false;
-        AdjSpan range =
-            ExpansionRange(edge_in, frontier[f].node, &prefiltered);
+        const AdjSpan range =
+            g_.csr().Range(frontier[f].node, edge_in.edge_label_sym);
         for (size_t k = 0; k < range.count; ++k) {
           const Adjacency& adj = range[k];
           blk.parent.push_back(static_cast<uint32_t>(f));
@@ -821,7 +789,7 @@ class Matcher {
       }
       if (check_edge_label) {
         filter([&](uint32_t i) {
-          return EdgeLabelsMatch(edge_in, blk.edge[i]);
+          return EdgeLabelOk(edge_in, blk.edge[i]);
         });
       }
       if (!edge_kernels_[h].terms.empty()) {
@@ -845,7 +813,7 @@ class Matcher {
       }
       if (check_node_label) {
         filter([&](uint32_t i) {
-          return NodeLabelsMatch(node_in, blk.neighbor[i]);
+          return NodeLabelOk(node_in, blk.neighbor[i]);
         });
       }
       if (!node_kernels_[h + 1].terms.empty()) {
@@ -904,7 +872,7 @@ class Matcher {
       // come from a label-index superset, exactly like the scalar route).
       GPML_RETURN_IF_ERROR(ChargeSteps(1));
       const Instr& first = program_.code[static_cast<size_t>(bp.nodes[0].pc)];
-      if (!NodeLabelsMatch(first, seed)) continue;
+      if (!NodeLabelOk(first, seed)) continue;
       if (!node_kernels_[0].terms.empty() &&
           !EvalKernel(node_kernels_[0], g_, /*is_node=*/true, seed)) {
         continue;
@@ -1000,7 +968,7 @@ class Matcher {
       const ReachPlan::NodeCheck& nc = rp.node_checks[idx];
       if (nc.trivial) continue;
       if (nc.eq_start && node != seed) return false;
-      if (!NodeLabelsMatch(program_.code[static_cast<size_t>(nc.pc)], node)) {
+      if (!NodeLabelOk(program_.code[static_cast<size_t>(nc.pc)], node)) {
         return false;
       }
       if (nc.has_kernel &&
@@ -1121,14 +1089,16 @@ class Matcher {
           const ReachPlan::EdgeStep& es = rp.edges[step];
           const Instr& edge_in = program_.code[static_cast<size_t>(es.pc)];
           const EdgeOrientation orientation = edge_in.edge->orientation;
-          bool prefiltered = false;
-          AdjSpan range = ExpansionRange(edge_in, cur.node, &prefiltered);
+          const AdjSpan range =
+              g_.csr().Range(cur.node, edge_in.edge_label_sym);
           GPML_RETURN_IF_ERROR(ChargeSteps(range.count));
           batch_candidates_ += range.count;
           for (size_t k = 0; k < range.count && !done; ++k) {
             const Adjacency& adj = range[k];
             if (!Admits(orientation, adj.traversal)) continue;
-            if (!prefiltered && !EdgeLabelsMatch(edge_in, adj.edge)) continue;
+            if (!edge_in.edge_prefiltered && !EdgeLabelOk(edge_in, adj.edge)) {
+              continue;
+            }
             if (es.has_kernel && !EvalKernel(edge_kernels_[step], g_,
                                              /*is_node=*/false, adj.edge)) {
               continue;
@@ -1243,12 +1213,11 @@ class Matcher {
       for (const State& cur : frontier) {
         if (!AdmitExpansion(cur, cur.edges)) continue;
         const Instr& in = program_.code[static_cast<size_t>(cur.pc)];
-        bool prefiltered = false;
-        AdjSpan range = ExpansionRange(in, cur.node, &prefiltered);
-        for (const Adjacency& adj : range) {
+        for (const Adjacency& adj :
+             g_.csr().Range(cur.node, in.edge_label_sym)) {
           GPML_RETURN_IF_ERROR(ChargeSteps(1));
           GPML_ASSIGN_OR_RETURN(std::optional<State> nxt,
-                                TryEdge(in, cur, adj, prefiltered));
+                                TryEdge(in, cur, adj));
           if (nxt.has_value()) {
             GPML_RETURN_IF_ERROR(
                 AdvanceEpsilon(std::move(*nxt), &next_frontier));
@@ -1463,6 +1432,20 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
                             SharedBudget* shared_budget,
                             bool* budget_exhausted,
                             const std::vector<NodeId>* end_filter) {
+  // Label constraints are evaluated only through the compiled predicates
+  // BindProgramToGraph attaches; an unbound program cannot run.
+  for (const Instr& in : program.code) {
+    const LabelExprPtr* labels =
+        in.op == Instr::Op::kNodeCheck ? &in.node->labels
+        : in.op == Instr::Op::kEdgeStep ? &in.edge->labels
+                                        : nullptr;
+    if (labels != nullptr && *labels != nullptr &&
+        (in.lpred < 0 ||
+         static_cast<size_t>(in.lpred) >= program.label_preds.size())) {
+      return Status::InvalidArgument(
+          "program is not bound to the graph; call BindProgramToGraph");
+    }
+  }
   obs::Stopwatch run_clock;
   std::vector<NodeId> seeds = ComputeSeeds(g, program, seed_filter);
   const double seed_ms = run_clock.ElapsedMs();

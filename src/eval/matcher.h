@@ -38,23 +38,15 @@ struct MatcherOptions {
   /// of the shard count, so this is purely a latency knob). Tests set 1 to
   /// force sharding on tiny graphs.
   size_t min_seeds_per_shard = 16;
-  /// Interned-storage fast paths (see docs/storage.md): expansion over the
-  /// label-partitioned CSR index and label matching through the program's
-  /// compiled symbol predicates. Off runs the legacy full-adjacency scan
-  /// with string label comparison — the differential oracle. Results are
-  /// byte-identical either way (CSR partitions preserve the legacy scan
-  /// order); only the step counts differ, because the CSR path never visits
-  /// the records the label filter would reject.
-  bool use_csr = true;
   /// Block-at-a-time frontier expansion (docs/vectorized.md): linear
   /// fixed-length patterns expand whole frontier blocks against contiguous
   /// CSR ranges with selection-vector filtering and compiled predicate
   /// kernels, materializing states only for accepted rows. Off runs the
   /// tuple-at-a-time interpreter for every pattern — the differential
-  /// oracle, exactly like `use_csr` above. Rows are byte-identical either
-  /// way (the batch drain replays the DFS accept order); only the step
-  /// accounting differs, because the batch path charges per adjacency
-  /// candidate rather than per interpreter instruction. Patterns outside
+  /// oracle. Rows are byte-identical either way (the batch drain replays
+  /// the DFS accept order); only the step accounting differs, because the
+  /// batch path charges per adjacency candidate rather than per
+  /// interpreter instruction. Patterns outside
   /// the eligible shape (selectors, quantifiers, restrictors, non-kernel
   /// WHEREs) fall back to the scalar interpreter automatically. The same
   /// switch gates the reachability route for quantified ANY / ANY SHORTEST
@@ -171,7 +163,9 @@ struct MatchStats {
 
 /// Runs one compiled pattern over the graph: every admissible start node is
 /// seeded, matches are collected, reduced, deduplicated, and the selector
-/// (if any) is applied per endpoint partition (§5.1).
+/// (if any) is applied per endpoint partition (§5.1). `program` must be
+/// bound to `g` (BindProgramToGraph); an unbound program with a label
+/// constraint fails with kInvalidArgument.
 ///
 /// Route selection: patterns without a selector enumerate by DFS (the §5
 /// termination rules guarantee finiteness through restrictors); patterns

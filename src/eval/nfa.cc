@@ -596,7 +596,7 @@ void BindProgramToGraph(Program* program, const PropertyGraph& g,
         best = kInvalidSymbol;
         break;
       }
-      size_t count = g.EdgesWithLabel(*name).size();
+      size_t count = g.EdgesWithLabel(s).size();
       if (best == kNoLabelPartition || count < best_count) {
         best = s;
         best_count = count;

@@ -11,10 +11,6 @@
 
 namespace gpml {
 
-/// Sentinel for Instr::edge_label_sym: no single CSR partition covers this
-/// edge step; expansion scans the full adjacency list.
-inline constexpr Symbol kNoLabelPartition = 0xfffffffeu;
-
 /// One instruction of the compiled pattern program. The matcher interprets
 /// these over the graph: kEdgeStep is the only instruction that consumes a
 /// graph edge; everything else is "epsilon" work (checks, bookkeeping,
@@ -43,17 +39,17 @@ struct Instr {
   const NodePattern* node = nullptr;
   const EdgePattern* edge = nullptr;
   int var = -1;                      // Interned variable id.
-  /// Graph-bound acceleration slots, filled by BindProgramToGraph (and left
-  /// at their defaults on unbound programs, which then run the legacy
-  /// string-matching paths):
+  /// Graph-bound slots, filled by BindProgramToGraph. The matcher runs
+  /// only bound programs: RunPattern rejects a program whose label
+  /// expressions have no compiled predicate.
   int lpred = -1;                    // kNodeCheck/kEdgeStep: index into
                                      // Program::label_preds; -1 = no label
-                                     // constraint or unbound program.
-  Symbol edge_label_sym = kNoLabelPartition;  // kEdgeStep: CSR partition to
-                                     // scan; kNoLabelPartition = full
-                                     // adjacency scan, kInvalidSymbol = the
-                                     // label is unknown to the graph (empty
-                                     // expansion).
+                                     // constraint.
+  Symbol edge_label_sym = kNoLabelPartition;  // kEdgeStep: the CSR range to
+                                     // scan (CsrIndex::Range):
+                                     // kNoLabelPartition = the full range,
+                                     // kInvalidSymbol = the label is unknown
+                                     // to the graph (empty expansion).
   bool edge_prefiltered = false;     // kEdgeStep: bucket membership already
                                      // implies the label expression (plain
                                      // single-name labels), skip the check.
@@ -196,8 +192,8 @@ Result<Program> CompilePattern(const PathPatternDecl& decl,
 /// label conjunct, or the exact partition (no per-edge label re-check) when
 /// the expression is a single plain name. Programs bound to one graph must
 /// only run over that graph; the plan cache guarantees this by keying
-/// entries on the graph identity token. Unbound programs still execute
-/// correctly through the legacy string paths.
+/// entries on the graph identity token. RunPattern requires a bound
+/// program: an unbound one with a label constraint is an error.
 ///
 /// When `vars` is non-null the batch and reachability plans are built too
 /// (Program::batch, Program::reach): shape eligibility, per-position

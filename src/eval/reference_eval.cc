@@ -305,8 +305,8 @@ class RigidMatcher {
 
     const RigidItem& it = rp_.items[index];
     if (it.is_node) {
-      const NodeData& nd = g_.node(current);
-      if (it.node->labels != nullptr && !it.node->labels->Matches(nd.labels)) {
+      if (it.node->labels != nullptr &&
+          !it.node->labels->Matches(g_.node(current).labels())) {
         return Status::OK();
       }
       ElementRef ref = ElementRef::Node(current);
@@ -342,8 +342,8 @@ class RigidMatcher {
     // Edge item: iterate admissible adjacencies.
     for (const Adjacency& adj : g_.adjacencies(current)) {
       if (!Admits(it.edge->orientation, adj.traversal)) continue;
-      const EdgeData& ed = g_.edge(adj.edge);
-      if (it.edge->labels != nullptr && !it.edge->labels->Matches(ed.labels)) {
+      if (it.edge->labels != nullptr &&
+          !it.edge->labels->Matches(g_.edge(adj.edge).labels())) {
         continue;
       }
       ElementRef ref = ElementRef::Edge(adj.edge);

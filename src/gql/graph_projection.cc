@@ -29,21 +29,19 @@ Result<PropertyGraph> ProjectGraph(const PropertyGraph& source,
 
   GraphBuilder builder;
   for (NodeId n : nodes) {
-    const NodeData& nd = source.node(n);
-    PropertyList props(nd.properties.begin(), nd.properties.end());
-    builder.AddNode(nd.name, nd.labels, std::move(props));
+    const ElementView nd = source.node(n);
+    builder.AddNode(nd.name, nd.labels(), nd.properties());
   }
   for (EdgeId e : edges) {
-    const EdgeData& ed = source.edge(e);
-    PropertyList props(ed.properties.begin(), ed.properties.end());
+    const ElementView ed = source.edge(e);
     if (ed.directed) {
       builder.AddDirectedEdge(ed.name, source.node(ed.u).name,
-                              source.node(ed.v).name, ed.labels,
-                              std::move(props));
+                              source.node(ed.v).name, ed.labels(),
+                              ed.properties());
     } else {
       builder.AddUndirectedEdge(ed.name, source.node(ed.u).name,
-                                source.node(ed.v).name, ed.labels,
-                                std::move(props));
+                                source.node(ed.v).name, ed.labels(),
+                                ed.properties());
     }
   }
   return std::move(builder).Build();

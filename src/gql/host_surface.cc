@@ -3,6 +3,7 @@
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
 #include "obs/snapshot_filter.h"
+#include "planner/explain.h"
 
 namespace gpml {
 
@@ -27,7 +28,11 @@ std::vector<obs::QueryStatEntry> HostQueryStats(
 analysis::DiagnosticList HostLint(const PropertyGraph& g,
                                   const EngineOptions& options,
                                   const std::string& match_text) {
-  return Engine(g, options).Lint(match_text);
+  std::string text = match_text;
+  std::string rest;
+  if (planner::StripExplainPrefix(text, &rest)) text = rest;
+  if (planner::StripAnalyzePrefix(text, &rest)) text = rest;
+  return Engine(g, options).Lint(text);
 }
 
 }  // namespace gpml

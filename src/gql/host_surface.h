@@ -32,7 +32,8 @@ std::vector<obs::QueryStatEntry> HostQueryStats(
     const PropertyGraph& g, const obs::QueryStatsStore* store);
 
 /// The engine's full diagnostic list for `match_text` against `g`; never
-/// fails (Engine::Lint).
+/// fails (Engine::Lint). The text is linted exactly as Prepare sees it: a
+/// leading EXPLAIN [ANALYZE] is stripped, not diagnosed as a parse error.
 analysis::DiagnosticList HostLint(const PropertyGraph& g,
                                   const EngineOptions& options,
                                   const std::string& match_text);

@@ -144,24 +144,25 @@ std::string PathToJson(const PropertyGraph& g, const Path& p) {
 }  // namespace
 
 std::string ElementToJson(const PropertyGraph& g, const ElementRef& ref) {
-  const ElementData& d = g.element(ref);
+  const ElementView d = g.element(ref);
   std::ostringstream os;
   os << "{\"kind\":\"" << (ref.is_node() ? "node" : "edge") << "\",";
   os << "\"name\":\"" << JsonEscape(d.name) << "\",";
   if (ref.is_edge()) {
-    const EdgeData& e = g.edge(ref.id);
-    os << "\"directed\":" << (e.directed ? "true" : "false") << ",";
-    os << "\"endpoints\":[\"" << JsonEscape(g.node(e.u).name) << "\",\""
-       << JsonEscape(g.node(e.v).name) << "\"],";
+    os << "\"directed\":" << (d.directed ? "true" : "false") << ",";
+    os << "\"endpoints\":[\"" << JsonEscape(g.node(d.u).name) << "\",\""
+       << JsonEscape(g.node(d.v).name) << "\"],";
   }
   os << "\"labels\":[";
-  for (size_t i = 0; i < d.labels.size(); ++i) {
-    if (i > 0) os << ",";
-    os << "\"" << JsonEscape(d.labels[i]) << "\"";
+  bool first = true;
+  for (const std::string& label : d.labels()) {
+    if (!first) os << ",";
+    first = false;
+    os << "\"" << JsonEscape(label) << "\"";
   }
   os << "],\"properties\":{";
-  bool first = true;
-  for (const auto& [k, v] : d.properties) {
+  first = true;
+  for (const auto& [k, v] : d.properties()) {
     if (!first) os << ",";
     first = false;
     os << "\"" << JsonEscape(k) << "\":" << ValueToJson(v);

@@ -18,7 +18,16 @@ inline constexpr uint32_t kInvalidId = 0xffffffffu;
 /// traversals are admissible.
 enum class Traversal : uint8_t { kForward, kBackward, kUndirected };
 
-/// An incident-edge record in a node's adjacency list (and in the
+/// An edge's endpoint function (Def. 2.1): for directed edges the source
+/// `u` and target `v`; for undirected edges the two endpoints in insertion
+/// order. Self-loops (u == v) are allowed either way.
+struct EdgeEnds {
+  NodeId u = kInvalidId;
+  NodeId v = kInvalidId;
+  bool directed = true;
+};
+
+/// An incident-edge record in a node's adjacency range (and in the
 /// label-partitioned buckets of CsrIndex, which store the same records
 /// grouped by edge-label symbol).
 struct Adjacency {

@@ -1,25 +1,50 @@
 #include "graph/csr_index.h"
 
 #include <algorithm>
-
-#include "graph/property_graph.h"
+#include <utility>
 
 namespace gpml {
 
-void CsrIndex::Build(const std::vector<std::vector<Adjacency>>& adjacency,
+void CsrIndex::Build(size_t num_nodes, const std::vector<EdgeEnds>& ends,
                      const std::vector<uint32_t>& edge_label_offsets,
                      const std::vector<Symbol>& edge_label_syms) {
-  node_begin_.assign(adjacency.size() + 1, 0);
+  // Full ranges: count each node's records, prefix-sum, then fill in
+  // edge-id order so every range lists its edges ascending, `u` first.
+  record_begin_.assign(num_nodes + 1, 0);
+  for (const EdgeEnds& e : ends) {
+    ++record_begin_[e.u + 1];
+    // A non-loop undirected edge can be crossed from either endpoint; an
+    // undirected loop contributes a single record.
+    if (e.directed || e.u != e.v) ++record_begin_[e.v + 1];
+  }
+  for (size_t n = 0; n < num_nodes; ++n) {
+    record_begin_[n + 1] += record_begin_[n];
+  }
+  records_.resize(record_begin_[num_nodes]);
+  std::vector<uint32_t> fill(record_begin_.begin(), record_begin_.end() - 1);
+  for (EdgeId e = 0; e < ends.size(); ++e) {
+    const EdgeEnds& ed = ends[e];
+    if (ed.directed) {
+      records_[fill[ed.u]++] = {e, ed.v, Traversal::kForward};
+      records_[fill[ed.v]++] = {e, ed.u, Traversal::kBackward};
+    } else {
+      records_[fill[ed.u]++] = {e, ed.v, Traversal::kUndirected};
+      if (ed.u != ed.v) {
+        records_[fill[ed.v]++] = {e, ed.u, Traversal::kUndirected};
+      }
+    }
+  }
+
+  // Label buckets. Scratch: (label, record) pairs of one node,
+  // stable-sorted by label so records inside a bucket keep range order.
+  node_begin_.assign(num_nodes + 1, 0);
   buckets_.clear();
   entries_.clear();
-
-  // Scratch: (label, record) pairs of one node, stable-sorted by label so
-  // records inside a bucket keep the legacy adjacency order.
   std::vector<std::pair<Symbol, Adjacency>> scratch;
-  for (size_t n = 0; n < adjacency.size(); ++n) {
+  for (size_t n = 0; n < num_nodes; ++n) {
     node_begin_[n] = static_cast<uint32_t>(buckets_.size());
     scratch.clear();
-    for (const Adjacency& adj : adjacency[n]) {
+    for (const Adjacency& adj : All(static_cast<uint32_t>(n))) {
       const uint32_t lo = edge_label_offsets[adj.edge];
       const uint32_t hi = edge_label_offsets[adj.edge + 1];
       for (uint32_t i = lo; i < hi; ++i) {
@@ -43,10 +68,11 @@ void CsrIndex::Build(const std::vector<std::vector<Adjacency>>& adjacency,
       buckets_.push_back(b);
     }
   }
-  node_begin_[adjacency.size()] = static_cast<uint32_t>(buckets_.size());
+  node_begin_[num_nodes] = static_cast<uint32_t>(buckets_.size());
 }
 
 AdjSpan CsrIndex::Range(uint32_t node, Symbol label) const {
+  if (label == kNoLabelPartition) return All(node);
   const Bucket* lo = buckets_.data() + node_begin_[node];
   const Bucket* hi = buckets_.data() + node_begin_[node + 1];
   const Bucket* it = std::lower_bound(

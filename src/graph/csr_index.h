@@ -13,8 +13,8 @@
 namespace gpml {
 
 /// A contiguous run of adjacency records — the unit the matcher's expansion
-/// loop iterates. Obtained either from the full per-node adjacency list or
-/// from one of CsrIndex's label partitions.
+/// loop iterates. Obtained from CsrIndex: a node's full adjacency range or
+/// one of its label partitions.
 struct AdjSpan {
   const Adjacency* data = nullptr;
   size_t count = 0;
@@ -22,6 +22,7 @@ struct AdjSpan {
   const Adjacency* begin() const { return data; }
   const Adjacency* end() const { return data + count; }
   bool empty() const { return count == 0; }
+  size_t size() const { return count; }
 
   /// Indexed access and sub-ranges, used by the batch matcher's gather loop
   /// to walk a range in fixed-size chunks (docs/vectorized.md).
@@ -31,28 +32,48 @@ struct AdjSpan {
   }
 };
 
-/// Label-partitioned CSR adjacency: for every node, the incident-edge
-/// records are grouped into buckets by edge-label symbol, so expansion with
-/// a known edge label is one contiguous range scan instead of a filter over
-/// every incident edge.
+/// CsrIndex::Range's partition argument for "every record of the node":
+/// the full adjacency range, label-less edges included. Edge steps with no
+/// label expression, or with no required label name, expand over it.
+inline constexpr Symbol kNoLabelPartition = 0xfffffffeu;
+
+/// The graph's adjacency, stored once in compressed-sparse-row form.
 ///
-/// Invariants (checked by tests/csr_index_test.cc):
-///  * An edge with k labels contributes one record to k buckets of each
-///    endpoint it is incident to; label-less edges appear in no bucket (they
-///    can never match a name-bearing label expression).
-///  * Within a bucket, records keep the relative order of the legacy
-///    per-node adjacency list. A bucket scan therefore yields successor
-///    states in exactly the order the legacy full-scan-and-filter produced,
-///    which is what keeps result rows byte-identical across use_csr on/off.
+///  * The full range of a node lists every admissible single-step traversal
+///    leaving it (directed out-edges forward, directed in-edges backward,
+///    undirected incident edges), in edge-id order; an edge contributes its
+///    `u` record before its `v` record (a directed self-loop contributes
+///    both, an undirected self-loop one).
+///  * Next to it, each node's records are grouped into buckets by edge-label
+///    symbol, so expansion with a known edge label is one contiguous range
+///    scan instead of a filter over every incident edge. An edge with k
+///    labels contributes one record to k buckets of each endpoint it is
+///    incident to; label-less edges appear in no bucket (they can never
+///    match a name-bearing label expression).
+///  * Within a bucket, records keep the relative order of the full range,
+///    so a bucket scan yields successor states in exactly the order a
+///    full-range scan with a label filter would.
 ///  * Buckets of one node are sorted by label symbol (binary search).
+///
+/// Invariants are checked by tests/csr_index_test.cc.
 class CsrIndex {
  public:
-  void Build(const std::vector<std::vector<Adjacency>>& adjacency,
+  /// Builds both layouts over `num_nodes` nodes from the edges' endpoints
+  /// and their sorted label-symbol runs (edge e's labels are
+  /// edge_label_syms[edge_label_offsets[e], edge_label_offsets[e + 1])).
+  void Build(size_t num_nodes, const std::vector<EdgeEnds>& ends,
              const std::vector<uint32_t>& edge_label_offsets,
              const std::vector<Symbol>& edge_label_syms);
 
-  /// The records of `node` whose edge carries `label`; empty span for
-  /// unknown labels or label-less partitions.
+  /// Every adjacency record of `node`.
+  AdjSpan All(uint32_t node) const {
+    return {records_.data() + record_begin_[node],
+            record_begin_[node + 1] - record_begin_[node]};
+  }
+
+  /// The records of `node` whose edge carries `label`: the full range for
+  /// kNoLabelPartition, the empty span for labels no incident edge carries
+  /// (kInvalidSymbol included).
   AdjSpan Range(uint32_t node, Symbol label) const;
 
   /// Total records across all buckets (tests, memory accounting).
@@ -65,9 +86,11 @@ class CsrIndex {
     uint32_t end = 0;
   };
 
-  std::vector<uint32_t> node_begin_;  // size nodes+1, into buckets_.
+  std::vector<uint32_t> record_begin_;  // size nodes+1, into records_.
+  std::vector<Adjacency> records_;      // Full ranges, node-major.
+  std::vector<uint32_t> node_begin_;    // size nodes+1, into buckets_.
   std::vector<Bucket> buckets_;
-  std::vector<Adjacency> entries_;
+  std::vector<Adjacency> entries_;      // Bucket records, node-major.
 };
 
 /// A label expression compiled against one graph's symbol table: label names

@@ -11,12 +11,19 @@
 
 namespace gpml {
 
-/// Convenience alias for inline property lists in builder calls.
-using PropertyList = std::vector<std::pair<std::string, Value>>;
-
 /// Constructs PropertyGraph instances. Element names must be unique per kind
 /// (they serve as external identifiers, like a1/t5 in the paper); edges refer
-/// to endpoint nodes by name, so nodes must be added first.
+/// to endpoint nodes by name, resolved at Build().
+///
+/// Build rules (tests/property_graph_test.cc):
+///  * a label set is a set: duplicates collapse; an empty set stays empty;
+///  * a property whose value is NULL is absent (the partial property
+///    function of Def. 2.1 is undefined there);
+///  * a repeated key in one PropertyList keeps its last value.
+///
+/// Labels and values are written straight into the graph's interned
+/// layout as elements are added; Build() renumbers the symbols into name
+/// order and derives the indexes.
 ///
 /// Usage:
 ///   GraphBuilder b;
@@ -44,21 +51,31 @@ class GraphBuilder {
                          std::vector<std::string> labels = {},
                          PropertyList properties = {});
 
-  size_t num_nodes() const { return nodes_.size(); }
-  size_t num_edges() const { return edges_.size(); }
+  size_t num_nodes() const { return nodes_.names.size(); }
+  size_t num_edges() const { return edges_.names.size(); }
 
   /// Validates names/endpoints and produces the immutable graph.
   Result<PropertyGraph> Build() &&;
 
  private:
-  struct PendingEdge {
-    EdgeData data;
-    std::string from;
-    std::string to;
+  /// The staged elements of one kind, in the graph's layout but with
+  /// symbols numbered in first-seen order (Build() renumbers them).
+  struct Staged {
+    std::vector<std::string> names;
+    std::vector<uint32_t> label_offsets{0};
+    std::vector<Symbol> label_syms;
+    std::vector<std::vector<Value>> columns;  // [key symbol][element id].
   };
 
-  std::vector<NodeData> nodes_;
-  std::vector<PendingEdge> edges_;
+  void Stage(Staged* kind, std::string name,
+             const std::vector<std::string>& labels, PropertyList properties);
+
+  SymbolTable labels_;
+  SymbolTable keys_;
+  Staged nodes_;
+  Staged edges_;
+  std::vector<EdgeEnds> ends_;  // Directedness; u/v resolved at Build().
+  std::vector<std::pair<std::string, std::string>> endpoint_names_;
 };
 
 }  // namespace gpml

@@ -41,14 +41,37 @@ uint64_t PropertyGraph::NextIdentityToken() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-bool ElementData::HasLabel(const std::string& label) const {
-  return std::binary_search(labels.begin(), labels.end(), label);
+bool ElementView::HasLabel(const std::string& label) const {
+  Symbol s = graph.label_symbols().Find(label);
+  if (s == kInvalidSymbol) return false;
+  SymSpan syms = ref.is_node() ? graph.node_label_syms(ref.id)
+                               : graph.edge_label_syms(ref.id);
+  return std::binary_search(syms.begin(), syms.end(), s);
 }
 
-const Value& ElementData::GetProperty(const std::string& prop) const {
-  static const Value kNull = Value::Null();
-  auto it = properties.find(prop);
-  return it == properties.end() ? kNull : it->second;
+const Value& ElementView::GetProperty(const std::string& key) const {
+  return graph.GetPropertyFast(ref, key);
+}
+
+std::vector<std::string> ElementView::labels() const {
+  SymSpan syms = ref.is_node() ? graph.node_label_syms(ref.id)
+                               : graph.edge_label_syms(ref.id);
+  std::vector<std::string> out;
+  out.reserve(syms.count);
+  // Symbol order is name order, so the run is already sorted by name.
+  for (Symbol s : syms) out.push_back(graph.label_symbols().name(s));
+  return out;
+}
+
+PropertyList ElementView::properties() const {
+  PropertyList out;
+  const SymbolTable& keys = graph.property_symbols();
+  for (Symbol s = 0; s < keys.size(); ++s) {
+    const Value& v = ref.is_node() ? graph.NodeColumnValue(s, ref.id)
+                                   : graph.EdgeColumnValue(s, ref.id);
+    if (!v.is_null()) out.emplace_back(keys.name(s), v);
+  }
+  return out;
 }
 
 NodeId PropertyGraph::FindNode(const std::string& name) const {
@@ -61,22 +84,8 @@ EdgeId PropertyGraph::FindEdge(const std::string& name) const {
   return it == edge_by_name_.end() ? kInvalidId : it->second;
 }
 
-const std::vector<NodeId>& PropertyGraph::NodesWithLabel(
-    const std::string& label) const {
-  static const std::vector<NodeId> kEmpty;
-  auto it = nodes_by_label_.find(label);
-  return it == nodes_by_label_.end() ? kEmpty : it->second;
-}
-
-const std::vector<EdgeId>& PropertyGraph::EdgesWithLabel(
-    const std::string& label) const {
-  static const std::vector<EdgeId> kEmpty;
-  auto it = edges_by_label_.find(label);
-  return it == edges_by_label_.end() ? kEmpty : it->second;
-}
-
 NodeId PropertyGraph::Cross(EdgeId e, NodeId from, Traversal t) const {
-  const EdgeData& ed = edges_[e];
+  const EdgeEnds& ed = edge_ends_[e];
   switch (t) {
     case Traversal::kForward:
       if (ed.directed && ed.u == from) return ed.v;
@@ -100,120 +109,43 @@ std::string PropertyGraph::Summary() const {
 }
 
 void PropertyGraph::BuildIndexes() {
-  adjacency_.assign(nodes_.size(), {});
-  node_by_name_.clear();
-  edge_by_name_.clear();
-  nodes_by_label_.clear();
-  edges_by_label_.clear();
+  const size_t num_labels = label_symbols_.size();
 
-  for (NodeId n = 0; n < nodes_.size(); ++n) {
-    if (!nodes_[n].name.empty()) node_by_name_[nodes_[n].name] = n;
-    for (const std::string& l : nodes_[n].labels) {
-      nodes_by_label_[l].push_back(n);
-    }
-  }
-  for (EdgeId e = 0; e < edges_.size(); ++e) {
-    const EdgeData& ed = edges_[e];
-    if (!ed.name.empty()) edge_by_name_[ed.name] = e;
-    for (const std::string& l : ed.labels) edges_by_label_[l].push_back(e);
-    if (ed.directed) {
-      adjacency_[ed.u].push_back({e, ed.v, Traversal::kForward});
-      adjacency_[ed.v].push_back({e, ed.u, Traversal::kBackward});
-    } else {
-      adjacency_[ed.u].push_back({e, ed.v, Traversal::kUndirected});
-      // A non-loop undirected edge can be crossed from either endpoint; a
-      // loop contributes a single adjacency record.
-      if (ed.u != ed.v) {
-        adjacency_[ed.v].push_back({e, ed.u, Traversal::kUndirected});
+  // Per-label element lists (ascending ids) and, when the universe fits,
+  // one 64-bit label mask per element.
+  auto index_labels = [&](size_t count, const std::vector<uint32_t>& offsets,
+                          const std::vector<Symbol>& syms,
+                          std::vector<std::vector<uint32_t>>* by_label,
+                          std::vector<uint64_t>* bits) {
+    by_label->assign(num_labels, {});
+    bits->assign(count, 0);
+    for (uint32_t id = 0; id < count; ++id) {
+      for (uint32_t i = offsets[id]; i < offsets[id + 1]; ++i) {
+        (*by_label)[syms[i]].push_back(id);
+        if (label_bits_usable()) (*bits)[id] |= uint64_t{1} << syms[i];
       }
-    }
-  }
-
-  BuildInternedLayer();
-}
-
-void PropertyGraph::BuildInternedLayer() {
-  label_symbols_ = SymbolTable();
-  property_symbols_ = SymbolTable();
-  node_label_offsets_.assign(1, 0);
-  node_label_syms_.clear();
-  edge_label_offsets_.assign(1, 0);
-  edge_label_syms_.clear();
-  node_label_bits_.assign(nodes_.size(), 0);
-  edge_label_bits_.assign(edges_.size(), 0);
-  node_columns_.clear();
-  edge_columns_.clear();
-  seed_index_ = PropertySeedIndex();
-
-  // Labels: intern every name, store each element's set as a sorted run of
-  // symbol ids plus (when the universe fits) a 64-bit mask.
-  auto intern_labels = [this](const ElementData& d, std::vector<Symbol>* syms,
-                              std::vector<uint32_t>* offsets) {
-    size_t begin = syms->size();
-    for (const std::string& l : d.labels) {
-      syms->push_back(label_symbols_.Intern(l));
-    }
-    std::sort(syms->begin() + begin, syms->end());
-    offsets->push_back(static_cast<uint32_t>(syms->size()));
-  };
-  for (const NodeData& nd : nodes_) {
-    intern_labels(nd, &node_label_syms_, &node_label_offsets_);
-  }
-  for (const EdgeData& ed : edges_) {
-    intern_labels(ed, &edge_label_syms_, &edge_label_offsets_);
-  }
-  if (label_bits_usable()) {
-    for (NodeId n = 0; n < nodes_.size(); ++n) {
-      for (Symbol s : node_label_syms(n)) {
-        node_label_bits_[n] |= uint64_t{1} << s;
-      }
-    }
-    for (EdgeId e = 0; e < edges_.size(); ++e) {
-      for (Symbol s : edge_label_syms(e)) {
-        edge_label_bits_[e] |= uint64_t{1} << s;
-      }
-    }
-  }
-
-  // Columnar property mirror: one dense array per key symbol, NULL-padded.
-  // The string-keyed per-element maps stay authoritative for construction
-  // and as the differential oracle; tests assert the mirror agrees.
-  auto mirror_properties = [this](const ElementData& d, uint32_t id,
-                                  size_t universe,
-                                  std::vector<std::vector<Value>>* columns) {
-    for (const auto& [key, value] : d.properties) {
-      Symbol s = property_symbols_.Intern(key);
-      if (columns->size() <= s) columns->resize(s + 1);
-      std::vector<Value>& col = (*columns)[s];
-      if (col.empty()) col.assign(universe, Value::Null());
-      col[id] = value;
     }
   };
-  for (NodeId n = 0; n < nodes_.size(); ++n) {
-    mirror_properties(nodes_[n], n, nodes_.size(), &node_columns_);
-  }
-  for (EdgeId e = 0; e < edges_.size(); ++e) {
-    mirror_properties(edges_[e], e, edges_.size(), &edge_columns_);
-  }
-  // Node-only and edge-only keys share the symbol space; size both column
-  // sets to the full universe so lookups index safely (empty column = NULL).
-  node_columns_.resize(property_symbols_.size());
-  edge_columns_.resize(property_symbols_.size());
+  index_labels(num_nodes(), node_label_offsets_, node_label_syms_,
+               &nodes_by_label_, &node_label_bits_);
+  index_labels(num_edges(), edge_label_offsets_, edge_label_syms_,
+               &edges_by_label_, &edge_label_bits_);
 
   // Equality seed index over (node label, property key, value), filled in
   // ascending node-id order so index-backed seeds enumerate in exactly the
   // order label-scan seeding would.
-  for (NodeId n = 0; n < nodes_.size(); ++n) {
+  seed_index_ = PropertySeedIndex();
+  for (NodeId n = 0; n < num_nodes(); ++n) {
     for (Symbol ls : node_label_syms(n)) {
-      for (const auto& [key, value] : nodes_[n].properties) {
+      for (Symbol ks = 0; ks < node_columns_.size(); ++ks) {
+        const Value& value = NodeColumnValue(ks, n);
         if (value.is_null()) continue;  // `= NULL` never selects.
-        seed_index_.Add(ls, property_symbols_.Find(key), value, n);
+        seed_index_.Add(ls, ks, value, n);
       }
     }
   }
 
-  // Label-partitioned CSR over the adjacency lists.
-  csr_.Build(adjacency_, edge_label_offsets_, edge_label_syms_);
+  csr_.Build(num_nodes(), edge_ends_, edge_label_offsets_, edge_label_syms_);
 }
 
 }  // namespace gpml

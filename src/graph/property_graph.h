@@ -2,10 +2,10 @@
 #define GPML_GRAPH_PROPERTY_GRAPH_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -61,27 +61,40 @@ struct ElementRefHash {
   }
 };
 
-/// Payload common to nodes and edges: external name, label set, properties.
-/// Labels are kept sorted for deterministic printing and fast subset tests.
-struct ElementData {
-  std::string name;                       // External id, e.g. "a1", "t5".
-  std::vector<std::string> labels;        // Sorted, unique.
-  std::map<std::string, Value> properties;
+/// Inline property lists: builder input and ElementView::properties().
+using PropertyList = std::vector<std::pair<std::string, Value>>;
 
-  bool HasLabel(const std::string& label) const;
-  /// Missing property -> NULL (the standard's semantics for x.prop).
-  const Value& GetProperty(const std::string& name) const;
-};
+class PropertyGraph;
 
-struct NodeData : ElementData {};
-
-struct EdgeData : ElementData {
-  bool directed = true;
-  /// For directed edges: source/target. For undirected: the two endpoints in
-  /// insertion order (self-loops allowed in both cases, Def. 2.1).
+/// A view of one element (node or edge) over the graph's columnar storage,
+/// returned by value from PropertyGraph::node/edge/element. It holds no
+/// data of its own beyond the endpoint fields copied out of the graph:
+/// labels and properties are read from the interned columns on each call.
+/// Valid while the graph is alive.
+struct ElementView {
+  const PropertyGraph& graph;
+  ElementRef ref;
+  const std::string& name;   // External id, e.g. "a1", "t5".
+  /// Edges only (nodes: kInvalidId / false). For directed edges the source
+  /// and target; for undirected, the two endpoints in insertion order.
   NodeId u = kInvalidId;
   NodeId v = kInvalidId;
+  bool directed = false;
+
+  /// One hash of `label` plus a binary search of the element's label run.
+  bool HasLabel(const std::string& label) const;
+  /// Missing property -> NULL (the standard's semantics for x.prop). One
+  /// hash of `key` plus a column index; a reference into the column.
+  const Value& GetProperty(const std::string& key) const;
+  /// Label names in sorted order (allocates).
+  std::vector<std::string> labels() const;
+  /// Non-NULL properties in key-name order (allocates; scans every
+  /// property-key column of the graph).
+  PropertyList properties() const;
 };
+
+/// The name e2ebench/ uses for an edge's view.
+using EdgeData = ElementView;
 
 /// A view of one element's interned label set (sorted by symbol id).
 struct SymSpan {
@@ -100,9 +113,11 @@ struct SymSpan {
 /// undirected edges.
 ///
 /// The class is an immutable-after-construction store: build through
-/// GraphBuilder (or the pgq::GraphView materializer), then query. All engine
-/// hot paths work on dense integer ids; external names are kept for result
-/// rendering and tests.
+/// GraphBuilder (or the pgq::GraphView materializer), then query. Each
+/// fact is stored once (docs/storage.md): names and endpoints per element,
+/// labels as sorted symbol runs plus 64-bit masks, properties as one
+/// dense column per key symbol, adjacency as one CSR index. Symbol ids are
+/// assigned in name order, so symbol order is name order.
 class PropertyGraph {
  public:
   PropertyGraph() = default;
@@ -113,33 +128,31 @@ class PropertyGraph {
   PropertyGraph(const PropertyGraph&) = delete;
   PropertyGraph& operator=(const PropertyGraph&) = delete;
 
-  size_t num_nodes() const { return nodes_.size(); }
-  size_t num_edges() const { return edges_.size(); }
+  size_t num_nodes() const { return node_names_.size(); }
+  size_t num_edges() const { return edge_names_.size(); }
 
-  const NodeData& node(NodeId id) const { return nodes_[id]; }
-  const EdgeData& edge(EdgeId id) const { return edges_[id]; }
-  const ElementData& element(const ElementRef& ref) const {
-    return ref.is_node() ? static_cast<const ElementData&>(nodes_[ref.id])
-                         : static_cast<const ElementData&>(edges_[ref.id]);
+  ElementView node(NodeId id) const {
+    return {*this, ElementRef::Node(id), node_names_[id]};
+  }
+  ElementView edge(EdgeId id) const {
+    const EdgeEnds& e = edge_ends_[id];
+    return {*this, ElementRef::Edge(id), edge_names_[id], e.u, e.v,
+            e.directed};
+  }
+  ElementView element(const ElementRef& ref) const {
+    return ref.is_node() ? node(ref.id) : edge(ref.id);
   }
 
   /// All admissible single-step traversals leaving `n` (directed out-edges
-  /// forward, directed in-edges backward, undirected incident edges).
-  const std::vector<Adjacency>& adjacencies(NodeId n) const {
-    return adjacency_[n];
-  }
+  /// forward, directed in-edges backward, undirected incident edges), in
+  /// edge-id order.
+  AdjSpan adjacencies(NodeId n) const { return csr_.All(n); }
 
-  /// The same records as `adjacencies(n)` as a span (the matcher's uniform
-  /// expansion-range type; see also CsrIndex::Range).
-  AdjSpan AdjacencySpan(NodeId n) const {
-    return {adjacency_[n].data(), adjacency_[n].size()};
-  }
+  // --- interned storage ----------------------------------------------------
 
-  // --- interned storage layer (built once in BuildIndexes) -----------------
-
-  /// Label and property-key strings interned to dense symbol ids. Label
-  /// symbols are an id space of their own so label sets pack into 64-bit
-  /// masks on graphs with <= 64 distinct labels.
+  /// Label and property-key strings interned to dense symbol ids, in name
+  /// order. Label symbols are an id space of their own so label sets pack
+  /// into 64-bit masks on graphs with <= 64 distinct labels.
   const SymbolTable& label_symbols() const { return label_symbols_; }
   const SymbolTable& property_symbols() const { return property_symbols_; }
 
@@ -161,13 +174,13 @@ class PropertyGraph {
             edge_label_offsets_[e + 1] - edge_label_offsets_[e]};
   }
 
-  /// Label-partitioned adjacency (see graph/csr_index.h): expansion with a
-  /// known edge label is a contiguous range scan.
+  /// The adjacency index (see graph/csr_index.h): full per-node ranges
+  /// plus label buckets, so expansion with a known edge label is a
+  /// contiguous range scan.
   const CsrIndex& csr() const { return csr_; }
 
   /// Columnar property access: the value of property-key symbol `key` on an
-  /// element, NULL when absent. An array index per access — the interned
-  /// mirror of ElementData::properties (which stays the string-keyed oracle).
+  /// element, NULL when absent. An array index per access.
   const Value& NodeColumnValue(Symbol key, NodeId n) const {
     const std::vector<Value>& col = node_columns_[key];
     return col.empty() ? kNullValue() : col[n];
@@ -178,8 +191,7 @@ class PropertyGraph {
   }
 
   /// Property lookup by name through the symbol table and columns: one hash
-  /// of the key string (shared across all elements) plus an array index,
-  /// replacing the per-element std::map walk of ElementData::GetProperty.
+  /// of the key string plus an array index (ElementView::GetProperty).
   const Value& GetPropertyFast(const ElementRef& ref,
                                const std::string& key) const {
     Symbol s = property_symbols_.Find(key);
@@ -205,9 +217,16 @@ class PropertyGraph {
   NodeId FindNode(const std::string& name) const;
   EdgeId FindEdge(const std::string& name) const;
 
-  /// Nodes carrying `label`; empty vector for unknown labels.
-  const std::vector<NodeId>& NodesWithLabel(const std::string& label) const;
-  const std::vector<EdgeId>& EdgesWithLabel(const std::string& label) const;
+  /// Nodes (edges) carrying label symbol `label`, ascending; the empty
+  /// list for kInvalidSymbol (a name the graph never uses).
+  const std::vector<NodeId>& NodesWithLabel(Symbol label) const {
+    return label < nodes_by_label_.size() ? nodes_by_label_[label]
+                                          : EmptyIds();
+  }
+  const std::vector<EdgeId>& EdgesWithLabel(Symbol label) const {
+    return label < edges_by_label_.size() ? edges_by_label_[label]
+                                          : EmptyIds();
+  }
 
   /// The endpoint reached when crossing `e` from `from` with `t`;
   /// kInvalidId if the traversal is not admissible from that endpoint.
@@ -262,38 +281,44 @@ class PropertyGraph {
  private:
   friend class GraphBuilder;
 
+  /// Derives the label masks and lists, CSR index and seed index from the
+  /// stored elements (GraphBuilder fills those first).
   void BuildIndexes();
-  void BuildInternedLayer();
 
   /// Shared NULL for missing-property results.
   static const Value& kNullValue() {
     static const Value kNull = Value::Null();
     return kNull;
   }
+  static const std::vector<uint32_t>& EmptyIds() {
+    static const std::vector<uint32_t> kEmpty;
+    return kEmpty;
+  }
 
   /// Monotonic process-wide counter backing identity_token().
   static uint64_t NextIdentityToken();
 
-  std::vector<NodeData> nodes_;
-  std::vector<EdgeData> edges_;
-  std::vector<std::vector<Adjacency>> adjacency_;
-  std::unordered_map<std::string, NodeId> node_by_name_;
-  std::unordered_map<std::string, EdgeId> edge_by_name_;
-  std::unordered_map<std::string, std::vector<NodeId>> nodes_by_label_;
-  std::unordered_map<std::string, std::vector<EdgeId>> edges_by_label_;
-
-  // Interned storage layer (tentpole of the CSR PR; see docs/storage.md).
+  // Stored by GraphBuilder: the elements themselves.
+  std::vector<std::string> node_names_;
+  std::vector<std::string> edge_names_;
+  std::vector<EdgeEnds> edge_ends_;
   SymbolTable label_symbols_;
   SymbolTable property_symbols_;
   std::vector<uint32_t> node_label_offsets_;  // size nodes+1.
   std::vector<Symbol> node_label_syms_;       // Sorted per element.
   std::vector<uint32_t> edge_label_offsets_;  // size edges+1.
   std::vector<Symbol> edge_label_syms_;
+  std::vector<std::vector<Value>> node_columns_;  // [key symbol][node id];
+  std::vector<std::vector<Value>> edge_columns_;  // empty = all NULL.
+  std::unordered_map<std::string, NodeId> node_by_name_;
+  std::unordered_map<std::string, EdgeId> edge_by_name_;
+
+  // Derived in BuildIndexes.
   std::vector<uint64_t> node_label_bits_;
   std::vector<uint64_t> edge_label_bits_;
+  std::vector<std::vector<NodeId>> nodes_by_label_;  // [label symbol].
+  std::vector<std::vector<EdgeId>> edges_by_label_;
   CsrIndex csr_;
-  std::vector<std::vector<Value>> node_columns_;  // [key symbol][node id].
-  std::vector<std::vector<Value>> edge_columns_;  // [key symbol][edge id].
   PropertySeedIndex seed_index_;
   mutable std::shared_ptr<const planner::GraphStats> stats_cache_;
   mutable std::shared_ptr<const planner::PlanCache> plan_cache_;

@@ -62,13 +62,7 @@ Result<analysis::DiagnosticList> GraphTableLint(const Catalog& catalog,
                                                 EngineOptions options) {
   GPML_ASSIGN_OR_RETURN(std::shared_ptr<const PropertyGraph> graph,
                         catalog.GetGraph(query.graph));
-  // Lint sees the text exactly as Prepare would: a leading EXPLAIN
-  // [ANALYZE] is stripped, not diagnosed as a parse error.
-  std::string text = query.match;
-  std::string rest;
-  if (planner::StripExplainPrefix(text, &rest)) text = rest;
-  if (planner::StripAnalyzePrefix(text, &rest)) text = rest;
-  return HostLint(*graph, options, text);
+  return HostLint(*graph, options, query.match);
 }
 
 Result<std::vector<obs::SlowQueryRecord>> GraphTableSlowQueries(

@@ -1,6 +1,9 @@
 #include "planner/stats.h"
 
+#include <map>
 #include <sstream>
+#include <tuple>
+#include <vector>
 
 namespace gpml {
 namespace planner {
@@ -10,12 +13,6 @@ namespace {
 /// One shared "no label" key so unlabeled elements still participate in the
 /// label-path frequency table.
 const std::string kNoLabel = "";
-
-const std::vector<std::string>& LabelsOrNone(
-    const std::vector<std::string>& labels,
-    const std::vector<std::string>& none) {
-  return labels.empty() ? none : labels;
-}
 
 }  // namespace
 
@@ -91,45 +88,58 @@ GraphStats ComputeStats(const PropertyGraph& g) {
   s.num_nodes = g.num_nodes();
   s.num_edges = g.num_edges();
 
+  // Counted by label symbol; symbol `none` stands for "no label" so
+  // unlabeled elements still participate in the label-path table.
+  const SymbolTable& labels = g.label_symbols();
+  const Symbol none = static_cast<Symbol>(labels.size());
+  auto name = [&](Symbol l) -> const std::string& {
+    return l == none ? kNoLabel : labels.name(l);
+  };
+  auto or_none = [&](SymSpan syms) {
+    return syms.count == 0 ? SymSpan{&none, 1} : syms;
+  };
+  std::vector<size_t> node_counts(labels.size(), 0);
+  std::vector<size_t> edge_counts(labels.size(), 0);
+  std::vector<LabelDegree> degree_sums(labels.size() + 1);
+  using SymTriple = std::tuple<Symbol, Symbol, Symbol>;
+  std::map<SymTriple, size_t> path_counts;
+  std::map<SymTriple, size_t> undirected_path_counts;
+
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
-    const NodeData& nd = g.node(n);
-    if (!nd.labels.empty()) ++s.num_labeled_nodes;
-    for (const std::string& l : nd.labels) ++s.node_label_counts[l];
+    SymSpan syms = g.node_label_syms(n);
+    if (syms.count != 0) ++s.num_labeled_nodes;
+    for (Symbol l : syms) ++node_counts[l];
   }
 
-  // Per-label degree accumulators keyed like node_label_counts.
-  std::map<std::string, LabelDegree> degree_sums;
-
-  const std::vector<std::string> none = {kNoLabel};
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const EdgeData& ed = g.edge(e);
-    if (!ed.labels.empty()) ++s.num_labeled_edges;
-    for (const std::string& l : ed.labels) ++s.edge_label_counts[l];
+    const ElementView ed = g.edge(e);
+    SymSpan syms = g.edge_label_syms(e);
+    if (syms.count != 0) ++s.num_labeled_edges;
+    for (Symbol l : syms) ++edge_counts[l];
 
-    const auto& u_labels = LabelsOrNone(g.node(ed.u).labels, none);
-    const auto& v_labels = LabelsOrNone(g.node(ed.v).labels, none);
-    const auto& e_labels = LabelsOrNone(ed.labels, none);
-    for (const std::string& el : e_labels) {
-      for (const std::string& ul : u_labels) {
-        for (const std::string& vl : v_labels) {
-          ++s.label_path_counts[std::make_tuple(ul, el, vl)];
+    const SymSpan u_labels = or_none(g.node_label_syms(ed.u));
+    const SymSpan v_labels = or_none(g.node_label_syms(ed.v));
+    for (Symbol el : or_none(syms)) {
+      for (Symbol ul : u_labels) {
+        for (Symbol vl : v_labels) {
+          ++path_counts[{ul, el, vl}];
           if (!ed.directed) {
-            ++s.label_path_counts[std::make_tuple(vl, el, ul)];
-            ++s.undirected_label_path_counts[std::make_tuple(ul, el, vl)];
-            ++s.undirected_label_path_counts[std::make_tuple(vl, el, ul)];
+            ++path_counts[{vl, el, ul}];
+            ++undirected_path_counts[{ul, el, vl}];
+            ++undirected_path_counts[{vl, el, ul}];
           }
         }
       }
     }
 
-    for (const std::string& ul : u_labels) {
+    for (Symbol ul : u_labels) {
       if (ed.directed) {
         degree_sums[ul].avg_out += 1;
       } else {
         degree_sums[ul].avg_undirected += 1;
       }
     }
-    for (const std::string& vl : v_labels) {
+    for (Symbol vl : v_labels) {
       if (ed.directed) {
         degree_sums[vl].avg_in += 1;
       } else {
@@ -138,15 +148,30 @@ GraphStats ComputeStats(const PropertyGraph& g) {
     }
   }
 
-  for (auto& [label, sums] : degree_sums) {
-    if (label == kNoLabel) continue;
-    double n = static_cast<double>(s.NodeLabelCount(label));
-    if (n == 0) continue;  // Edge-only label; no node denominator.
+  auto named = [&](const SymTriple& t) {
+    return std::make_tuple(name(std::get<0>(t)), name(std::get<1>(t)),
+                           name(std::get<2>(t)));
+  };
+  for (const auto& [key, count] : path_counts) {
+    s.label_path_counts[named(key)] = count;
+  }
+  for (const auto& [key, count] : undirected_path_counts) {
+    s.undirected_label_path_counts[named(key)] = count;
+  }
+  for (Symbol l = 0; l < none; ++l) {
+    if (node_counts[l] != 0) s.node_label_counts[name(l)] = node_counts[l];
+    if (edge_counts[l] != 0) s.edge_label_counts[name(l)] = edge_counts[l];
+    const LabelDegree& sums = degree_sums[l];
+    // Labels no edge touches, and edge-only labels (no node denominator),
+    // get no degree entry.
+    if (sums.avg_out + sums.avg_in + sums.avg_undirected == 0) continue;
+    const double n = static_cast<double>(node_counts[l]);
+    if (n == 0) continue;
     LabelDegree d;
     d.avg_out = sums.avg_out / n;
     d.avg_in = sums.avg_in / n;
     d.avg_undirected = sums.avg_undirected / n;
-    s.degree_by_label[label] = d;
+    s.degree_by_label[name(l)] = d;
   }
   return s;
 }

@@ -606,6 +606,28 @@ TEST(AnalysisHostTest, GraphTableLintStripsExplainPrefix) {
   EXPECT_FALSE(HasCode(*diags, analysis::kCodeSyntax));
 }
 
+TEST(AnalysisHostTest, BothHostsLintExplainPrefixIdentically) {
+  Catalog catalog;
+  catalog.AddGraph("bank", BuildPaperGraph());
+  Session session(catalog);
+  ASSERT_TRUE(session.UseGraph("bank").ok());
+  for (const char* text :
+       {"EXPLAIN MATCH (x:Acount) WHERE 1 = 2",
+        "EXPLAIN ANALYZE MATCH (x:Account) WHERE x.owner = 'a' AND "
+        "x.owner = 'b'"}) {
+    GraphTableQuery query;
+    query.graph = "bank";
+    query.match = text;
+    Result<analysis::DiagnosticList> sql = GraphTableLint(catalog, query);
+    Result<analysis::DiagnosticList> gql = session.Lint(text);
+    ASSERT_TRUE(sql.ok()) << sql.status();
+    ASSERT_TRUE(gql.ok()) << gql.status();
+    EXPECT_FALSE(HasCode(*gql, analysis::kCodeSyntax)) << text;
+    EXPECT_FALSE(gql->empty()) << text;
+    EXPECT_EQ(gql->ToString(), sql->ToString()) << text;
+  }
+}
+
 TEST(AnalysisHostTest, GraphTableLintUnknownGraphIsError) {
   Catalog catalog;
   GraphTableQuery query;

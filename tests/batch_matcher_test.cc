@@ -1,7 +1,7 @@
 // Vectorized batch matcher (docs/vectorized.md): the block-at-a-time
 // frontier expansion behind EngineOptions::use_batch must produce rows
 // byte-identical to the scalar interpreter — same rows, same order — across
-// {batch on/off} x {threads 1,8} x {csr on/off} x {planner on/off}, on the
+// {batch on/off} x {threads 1,8} x {planner on/off}, on the
 // fraud workloads and on adversarial graphs (self-loops, parallel edges,
 // label universes beyond the 64-bit masks). Quantified, selector-carrying,
 // and cross-referencing patterns must fall back to the scalar route
@@ -44,13 +44,12 @@ std::vector<std::string> CanonRows(const MatchOutput& out,
 }
 
 Result<MatchOutput> RunMatch(const PropertyGraph& g, const std::string& query,
-                        bool use_batch, size_t threads = 1, bool csr = true,
+                        bool use_batch, size_t threads = 1,
                         bool planner = false,
                         EngineMetrics* metrics = nullptr) {
   EngineOptions options;
   options.use_batch = use_batch;
   options.num_threads = threads;
-  options.use_csr = csr;
   options.use_planner = planner;
   options.metrics = metrics;
   options.matcher.min_seeds_per_shard = 1;  // Force real sharding.
@@ -62,22 +61,19 @@ Result<MatchOutput> RunMatch(const PropertyGraph& g, const std::string& query,
 /// (a different plan may legitimately reorder rows).
 void ExpectBatchAgreement(const PropertyGraph& g, const std::string& query) {
   for (bool planner : {false, true}) {
-    for (bool csr : {true, false}) {
-      for (size_t threads : {size_t{1}, size_t{8}}) {
-        EngineMetrics off_metrics;
-        Result<MatchOutput> off =
-            RunMatch(g, query, /*use_batch=*/false, threads, csr, planner,
-                &off_metrics);
-        ASSERT_TRUE(off.ok()) << query << " -> " << off.status();
-        EXPECT_EQ(off_metrics.batch_blocks, 0u) << query;
-        EngineMetrics on_metrics;
-        Result<MatchOutput> on = RunMatch(g, query, /*use_batch=*/true, threads,
-                                     csr, planner, &on_metrics);
-        ASSERT_TRUE(on.ok()) << query << " -> " << on.status();
-        EXPECT_EQ(CanonRows(*off, g), CanonRows(*on, g))
-            << query << " threads=" << threads << " csr=" << csr
-            << " planner=" << planner << " on " << g.Summary();
-      }
+    for (size_t threads : {size_t{1}, size_t{8}}) {
+      EngineMetrics off_metrics;
+      Result<MatchOutput> off = RunMatch(g, query, /*use_batch=*/false,
+                                         threads, planner, &off_metrics);
+      ASSERT_TRUE(off.ok()) << query << " -> " << off.status();
+      EXPECT_EQ(off_metrics.batch_blocks, 0u) << query;
+      EngineMetrics on_metrics;
+      Result<MatchOutput> on = RunMatch(g, query, /*use_batch=*/true,
+                                        threads, planner, &on_metrics);
+      ASSERT_TRUE(on.ok()) << query << " -> " << on.status();
+      EXPECT_EQ(CanonRows(*off, g), CanonRows(*on, g))
+          << query << " threads=" << threads << " planner=" << planner
+          << " on " << g.Summary();
     }
   }
 }
@@ -162,8 +158,8 @@ TEST(BatchMatcherTest, EligibleWorkloadsActuallyRunBatched) {
   PropertyGraph g = MatrixGraph();
   for (const char* query : kEligibleWorkloads) {
     EngineMetrics metrics;
-    Result<MatchOutput> out = RunMatch(g, query, /*use_batch=*/true, 1, true,
-                                  false, &metrics);
+    Result<MatchOutput> out =
+        RunMatch(g, query, /*use_batch=*/true, 1, false, &metrics);
     ASSERT_TRUE(out.ok()) << query;
     // Single-node patterns expand no level, so only multi-hop workloads
     // must report blocks; every eligible workload with an edge does.
@@ -180,8 +176,8 @@ TEST(BatchMatcherTest, FallbackWorkloadsStayScalar) {
   PropertyGraph g = MatrixGraph();
   for (const char* query : kFallbackWorkloads) {
     EngineMetrics metrics;
-    Result<MatchOutput> out = RunMatch(g, query, /*use_batch=*/true, 1, true,
-                                  false, &metrics);
+    Result<MatchOutput> out =
+        RunMatch(g, query, /*use_batch=*/true, 1, false, &metrics);
     ASSERT_TRUE(out.ok()) << query;
     EXPECT_EQ(metrics.batch_blocks, 0u) << query;
   }
@@ -353,8 +349,8 @@ TEST(BatchMatcherTest, TruncatedRowsAreAPrefixOfTheOracle) {
       // be a prefix of the oracle's rows. Budget at half of this route's
       // own full step count so it reliably trips mid-search.
       EngineMetrics route_metrics;
-      Result<MatchOutput> full = RunMatch(g, kBudgetQuery, use_batch, 1, true,
-                                          false, &route_metrics);
+      Result<MatchOutput> full =
+          RunMatch(g, kBudgetQuery, use_batch, 1, false, &route_metrics);
       ASSERT_TRUE(full.ok());
       ASSERT_GT(route_metrics.matcher_steps, 100u);
       EngineOptions steps = options;
@@ -375,7 +371,7 @@ TEST(BatchMatcherTest, SharedStepBudgetTripsAcrossShards) {
   PropertyGraph g = BudgetGraph();
   EngineMetrics metrics;
   Result<MatchOutput> full =
-      RunMatch(g, kBudgetQuery, /*use_batch=*/true, 1, true, false, &metrics);
+      RunMatch(g, kBudgetQuery, /*use_batch=*/true, 1, false, &metrics);
   ASSERT_TRUE(full.ok());
   // The shards flush charges in batches of 256, so up to 256 x 8 steps can
   // sit uncharged; a half-budget is guaranteed to trip only when

@@ -1,5 +1,5 @@
 // The step budget (MatcherOptions::max_steps) holds exactly on every route:
-// a matrix over {num_threads 1,2,4,8} x {use_batch} x {use_csr} x
+// a matrix over {num_threads 1,2,4,8} x {use_batch} x
 // {Execute, Open + drain} x {kError, kTruncate}. Every cell pins its thread
 // count and sets min_seeds_per_shard = 1, so the multi-threaded cells really
 // shard (docs/parallel.md). A cap below the cell's uncapped step count S
@@ -76,59 +76,55 @@ TEST(BudgetTest, StepCapHoldsExactlyOnEveryRoute) {
   for (const char* query : kQueries) {
     for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
       for (bool batch : {true, false}) {
-        for (bool csr : {true, false}) {
-          for (Route route : {Route::kExecute, Route::kOpen}) {
-            std::string cell =
-                std::string(query) + " threads=" + std::to_string(threads) +
-                " batch=" + std::to_string(batch) +
-                " csr=" + std::to_string(csr) +
-                (route == Route::kExecute ? " Execute" : " Open");
-            EngineOptions options;
-            options.num_threads = threads;
-            options.use_batch = batch;
-            options.use_csr = csr;
-            options.matcher.min_seeds_per_shard = 1;
-            options.slow_query_ms = -1;
+        for (Route route : {Route::kExecute, Route::kOpen}) {
+          std::string cell =
+              std::string(query) + " threads=" + std::to_string(threads) +
+              " batch=" + std::to_string(batch) +
+              (route == Route::kExecute ? " Execute" : " Open");
+          EngineOptions options;
+          options.num_threads = threads;
+          options.use_batch = batch;
+          options.matcher.min_seeds_per_shard = 1;
+          options.slow_query_ms = -1;
 
-            Outcome full = RunCell(g, query, route, options);
-            ASSERT_TRUE(full.status.ok()) << cell << ": " << full.status;
-            ASSERT_FALSE(full.truncated) << cell;
-            const size_t s = full.steps;
-            ASSERT_GT(s, 1u) << cell;
-            const std::set<std::string> full_rows(full.rows.begin(),
-                                                  full.rows.end());
+          Outcome full = RunCell(g, query, route, options);
+          ASSERT_TRUE(full.status.ok()) << cell << ": " << full.status;
+          ASSERT_FALSE(full.truncated) << cell;
+          const size_t s = full.steps;
+          ASSERT_GT(s, 1u) << cell;
+          const std::set<std::string> full_rows(full.rows.begin(),
+                                                full.rows.end());
 
-            // The uncapped step count is itself within budget.
-            options.matcher.max_steps = s;
-            Outcome exact = RunCell(g, query, route, options);
-            EXPECT_TRUE(exact.status.ok()) << cell << ": " << exact.status;
-            EXPECT_FALSE(exact.truncated) << cell;
+          // The uncapped step count is itself within budget.
+          options.matcher.max_steps = s;
+          Outcome exact = RunCell(g, query, route, options);
+          EXPECT_TRUE(exact.status.ok()) << cell << ": " << exact.status;
+          EXPECT_FALSE(exact.truncated) << cell;
 
-            for (size_t cap : {size_t{1}, s - 1}) {
-              std::string capped = cell + " max_steps=" + std::to_string(cap);
-              options.matcher.max_steps = cap;
+          for (size_t cap : {size_t{1}, s - 1}) {
+            std::string capped = cell + " max_steps=" + std::to_string(cap);
+            options.matcher.max_steps = cap;
 
-              options.on_budget = EngineOptions::BudgetPolicy::kError;
-              Outcome failed = RunCell(g, query, route, options);
-              EXPECT_EQ(failed.status.code(), StatusCode::kResourceExhausted)
-                  << capped << " kError: " << failed.status << ", "
-                  << failed.rows.size() << " rows";
-              EXPECT_GT(failed.steps, cap) << capped << " kError";
+            options.on_budget = EngineOptions::BudgetPolicy::kError;
+            Outcome failed = RunCell(g, query, route, options);
+            EXPECT_EQ(failed.status.code(), StatusCode::kResourceExhausted)
+                << capped << " kError: " << failed.status << ", "
+                << failed.rows.size() << " rows";
+            EXPECT_GT(failed.steps, cap) << capped << " kError";
 
-              options.on_budget = EngineOptions::BudgetPolicy::kTruncate;
-              Outcome partial = RunCell(g, query, route, options);
-              ASSERT_TRUE(partial.status.ok())
-                  << capped << " kTruncate: " << partial.status;
-              EXPECT_TRUE(partial.truncated)
-                  << capped << " kTruncate: " << partial.rows.size()
-                  << " of " << full.rows.size() << " rows, unflagged";
-              for (const std::string& row : partial.rows) {
-                EXPECT_EQ(full_rows.count(row), 1u)
-                    << capped << " kTruncate: row not in the full result: "
-                    << row;
-              }
-              options.on_budget = EngineOptions::BudgetPolicy::kError;
+            options.on_budget = EngineOptions::BudgetPolicy::kTruncate;
+            Outcome partial = RunCell(g, query, route, options);
+            ASSERT_TRUE(partial.status.ok())
+                << capped << " kTruncate: " << partial.status;
+            EXPECT_TRUE(partial.truncated)
+                << capped << " kTruncate: " << partial.rows.size()
+                << " of " << full.rows.size() << " rows, unflagged";
+            for (const std::string& row : partial.rows) {
+              EXPECT_EQ(full_rows.count(row), 1u)
+                  << capped << " kTruncate: row not in the full result: "
+                  << row;
             }
+            options.on_budget = EngineOptions::BudgetPolicy::kError;
           }
         }
       }

@@ -1,14 +1,17 @@
-// Invariants of the interned storage layer (docs/storage.md): the
-// label-partitioned CSR must contain, for every (node, label) pair, exactly
-// the legacy adjacency records whose edge carries the label — in the legacy
-// order, which is what keeps matcher results byte-identical across
-// use_csr on/off. The symbol tables, label bitsets, columnar property
-// mirror, and equality seed index are all checked against the string-keyed
-// originals on the paper graph, generated graphs (undirected edges,
-// parallel edges, self-loops), and a graph whose label universe exceeds
-// the 64-bit masks.
+// Invariants of the graph store (docs/storage.md), checked against the
+// builder input through an independent model: every element's labels
+// (sorted, duplicate-free), its properties (last value per key wins, NULL is
+// absent), the per-node adjacency ranges (edge-id order, `u` record first),
+// the label-partitioned CSR buckets (the full range filtered by label, in
+// range order), the label bitsets and per-label lists, and the equality
+// seed index. Inputs cover the paper graph, generated graphs (undirected
+// edges, parallel edges, self-loops), random builder input with repeated
+// keys and NULL values, and a label universe beyond the 64-bit masks.
 
 #include <algorithm>
+#include <map>
+#include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -19,19 +22,128 @@
 #include "graph/generator.h"
 #include "graph/graph_builder.h"
 #include "graph/sample_graph.h"
+#include "tests/test_util.h"
 
 namespace gpml {
 namespace {
 
-/// Legacy reference: the adjacency records of `n` whose edge carries
-/// `label`, in adjacency-list order.
-std::vector<Adjacency> FilteredAdjacency(const PropertyGraph& g, NodeId n,
-                                         const std::string& label) {
-  std::vector<Adjacency> out;
-  for (const Adjacency& adj : g.adjacencies(n)) {
-    if (g.edge(adj.edge).HasLabel(label)) out.push_back(adj);
+/// What was handed to GraphBuilder for one element.
+struct ElementInput {
+  std::string name;
+  std::vector<std::string> labels;
+  PropertyList properties;
+  std::string from, to;  // Edges only.
+  bool directed = true;
+};
+
+struct GraphInput {
+  std::vector<ElementInput> nodes;
+  std::vector<ElementInput> edges;
+};
+
+PropertyGraph Build(const GraphInput& in) {
+  GraphBuilder b;
+  for (const ElementInput& n : in.nodes) {
+    b.AddNode(n.name, n.labels, n.properties);
   }
-  return out;
+  for (const ElementInput& e : in.edges) {
+    if (e.directed) {
+      b.AddDirectedEdge(e.name, e.from, e.to, e.labels, e.properties);
+    } else {
+      b.AddUndirectedEdge(e.name, e.from, e.to, e.labels, e.properties);
+    }
+  }
+  return std::move(b).Build().value();
+}
+
+/// The input that rebuilds `g` (for graphs made by the generators, whose
+/// input is not at hand): it still checks every index against the model.
+GraphInput InputOf(const PropertyGraph& g) {
+  GraphInput in;
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    const ElementView v = g.node(n);
+    in.nodes.push_back({v.name, v.labels(), v.properties()});
+  }
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const ElementView v = g.edge(e);
+    in.edges.push_back({v.name, v.labels(), v.properties(),
+                        g.node(v.u).name, g.node(v.v).name, v.directed});
+  }
+  return in;
+}
+
+/// Random builder input: duplicate and empty label sets, repeated keys,
+/// NULL values, self-loops and parallel edges.
+GraphInput RandomInput(uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  auto pick = [&rng](int n) { return static_cast<int>(rng() % n); };
+  auto value = [&]() {
+    switch (pick(4)) {
+      case 0: return Value::Null();
+      case 1: return Value::Int(pick(3));
+      case 2: return Value::String("s" + std::to_string(pick(3)));
+      default: return Value::Double(pick(3) + 0.5);
+    }
+  };
+  auto element = [&](const std::string& name, char prefix) {
+    ElementInput el;
+    el.name = name;
+    for (int i = pick(4); i > 0; --i) {
+      el.labels.push_back(std::string(1, prefix) + std::to_string(pick(4)));
+    }
+    for (int i = pick(5); i > 0; --i) {
+      el.properties.emplace_back("k" + std::to_string(pick(4)), value());
+    }
+    return el;
+  };
+  GraphInput in;
+  const int nodes = 6 + pick(6);
+  for (int i = 0; i < nodes; ++i) {
+    in.nodes.push_back(element("n" + std::to_string(i), 'N'));
+  }
+  for (int i = 0, edges = 3 * nodes; i < edges; ++i) {
+    ElementInput e = element("e" + std::to_string(i), 'E');
+    e.from = "n" + std::to_string(pick(nodes));
+    e.to = "n" + std::to_string(pick(nodes));
+    e.directed = pick(3) != 0;
+    in.edges.push_back(std::move(e));
+  }
+  return in;
+}
+
+/// The model: sorted duplicate-free labels, and properties with the last
+/// value per key and NULL values dropped.
+std::vector<std::string> ModelLabels(const ElementInput& el) {
+  std::set<std::string> set(el.labels.begin(), el.labels.end());
+  return {set.begin(), set.end()};
+}
+
+std::map<std::string, Value> ModelProperties(const ElementInput& el) {
+  std::map<std::string, Value> props;
+  for (const auto& [key, value] : el.properties) props[key] = value;
+  for (auto it = props.begin(); it != props.end();) {
+    it = it->second.is_null() ? props.erase(it) : std::next(it);
+  }
+  return props;
+}
+
+/// The per-node adjacency model: edges in id order, the `u` record first;
+/// an undirected self-loop contributes one record.
+std::vector<std::vector<Adjacency>> ModelAdjacency(const GraphInput& in,
+                                                   const PropertyGraph& g) {
+  std::vector<std::vector<Adjacency>> adj(in.nodes.size());
+  for (EdgeId e = 0; e < in.edges.size(); ++e) {
+    const NodeId u = g.FindNode(in.edges[e].from);
+    const NodeId v = g.FindNode(in.edges[e].to);
+    if (in.edges[e].directed) {
+      adj[u].push_back({e, v, Traversal::kForward});
+      adj[v].push_back({e, u, Traversal::kBackward});
+    } else {
+      adj[u].push_back({e, v, Traversal::kUndirected});
+      if (u != v) adj[v].push_back({e, u, Traversal::kUndirected});
+    }
+  }
+  return adj;
 }
 
 bool SameRecords(const std::vector<Adjacency>& want, AdjSpan got) {
@@ -47,93 +159,119 @@ bool SameRecords(const std::vector<Adjacency>& want, AdjSpan got) {
   return true;
 }
 
-/// Every storage-layer invariant on one graph.
-void CheckGraph(const PropertyGraph& g) {
-  const SymbolTable& labels = g.label_symbols();
+/// One element's labels and properties against the model.
+void CheckElement(const PropertyGraph& g, ElementRef ref,
+                  const ElementInput& in, SymSpan syms, uint64_t bits) {
+  const ElementView v = g.element(ref);
+  const std::string where =
+      std::string(ref.is_node() ? "node " : "edge ") + in.name;
+  EXPECT_EQ(v.name, in.name);
+  const std::vector<std::string> labels = ModelLabels(in);
+  EXPECT_EQ(v.labels(), labels) << where;
+  ASSERT_EQ(syms.count, labels.size()) << where;
+  ASSERT_TRUE(std::is_sorted(syms.begin(), syms.end())) << where;
+  uint64_t want_bits = 0;
+  for (size_t i = 0; i < labels.size(); ++i) {
+    const Symbol s = g.label_symbols().Find(labels[i]);
+    EXPECT_EQ(syms.data[i], s) << where << ":" << labels[i];
+    EXPECT_TRUE(v.HasLabel(labels[i])) << where;
+    if (g.label_bits_usable()) want_bits |= uint64_t{1} << s;
+  }
+  EXPECT_FALSE(v.HasLabel("NoSuchLabel"));
+  if (g.label_bits_usable()) EXPECT_EQ(bits, want_bits) << where;
 
-  // --- label interning: per-element symbols and bitsets match the strings.
+  const std::map<std::string, Value> props = ModelProperties(in);
+  EXPECT_EQ(v.properties(), PropertyList(props.begin(), props.end()))
+      << where;
+  for (const auto& [key, value] : in.properties) {
+    auto it = props.find(key);
+    const Value& want = it == props.end() ? Value::Null() : it->second;
+    EXPECT_EQ(v.GetProperty(key), want) << where << "." << key;
+    EXPECT_EQ(g.GetPropertyFast(ref, key), want) << where << "." << key;
+  }
+  EXPECT_TRUE(v.GetProperty("no_such_key").is_null());
+}
+
+/// Every storage invariant of `g` against the input that built it.
+void CheckGraph(const PropertyGraph& g, const GraphInput& in) {
+  ASSERT_EQ(g.num_nodes(), in.nodes.size());
+  ASSERT_EQ(g.num_edges(), in.edges.size());
+  const SymbolTable& labels = g.label_symbols();
+  const SymbolTable& keys = g.property_symbols();
+
+  // Symbol order is name order, for labels and property keys alike.
+  for (Symbol s = 1; s < labels.size(); ++s) {
+    EXPECT_LT(labels.name(s - 1), labels.name(s));
+  }
+  for (Symbol s = 1; s < keys.size(); ++s) {
+    EXPECT_LT(keys.name(s - 1), keys.name(s));
+  }
+
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
-    const NodeData& nd = g.node(n);
-    SymSpan syms = g.node_label_syms(n);
-    ASSERT_EQ(syms.count, nd.labels.size());
-    ASSERT_TRUE(std::is_sorted(syms.begin(), syms.end()));
-    uint64_t bits = 0;
-    for (const std::string& l : nd.labels) {
-      Symbol s = labels.Find(l);
-      ASSERT_NE(s, kInvalidSymbol) << l;
-      EXPECT_TRUE(std::binary_search(syms.begin(), syms.end(), s)) << l;
-      if (g.label_bits_usable()) bits |= uint64_t{1} << s;
-    }
-    if (g.label_bits_usable()) {
-      EXPECT_EQ(g.node_label_bits(n), bits);
-    }
+    CheckElement(g, ElementRef::Node(n), in.nodes[n], g.node_label_syms(n),
+                 g.node_label_bits(n));
   }
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const EdgeData& ed = g.edge(e);
-    SymSpan syms = g.edge_label_syms(e);
-    ASSERT_EQ(syms.count, ed.labels.size());
-    for (const std::string& l : ed.labels) {
-      EXPECT_TRUE(std::binary_search(syms.begin(), syms.end(),
-                                     labels.Find(l)))
-          << l;
-    }
+    CheckElement(g, ElementRef::Edge(e), in.edges[e], g.edge_label_syms(e),
+                 g.edge_label_bits(e));
+    const ElementView v = g.edge(e);
+    EXPECT_EQ(g.node(v.u).name, in.edges[e].from);
+    EXPECT_EQ(g.node(v.v).name, in.edges[e].to);
+    EXPECT_EQ(v.directed, in.edges[e].directed);
   }
 
-  // --- CSR ranges equal the filtered legacy adjacency for every (node,
-  // label) pair, including labels absent at the node (empty range).
+  // Per-label element lists: ascending ids of the elements carrying it.
+  for (Symbol s = 0; s < labels.size(); ++s) {
+    std::vector<NodeId> nodes;
+    for (NodeId n = 0; n < g.num_nodes(); ++n) {
+      if (g.node(n).HasLabel(labels.name(s))) nodes.push_back(n);
+    }
+    EXPECT_EQ(g.NodesWithLabel(s), nodes) << labels.name(s);
+    std::vector<EdgeId> edges;
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      if (g.edge(e).HasLabel(labels.name(s))) edges.push_back(e);
+    }
+    EXPECT_EQ(g.EdgesWithLabel(s), edges) << labels.name(s);
+  }
+  EXPECT_TRUE(g.NodesWithLabel(kInvalidSymbol).empty());
+
+  // Full ranges equal the adjacency model; each label bucket equals the
+  // model filtered by that label, in range order; unknown labels are empty.
+  const std::vector<std::vector<Adjacency>> adj = ModelAdjacency(in, g);
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
-    size_t bucket_total = 0;
+    EXPECT_TRUE(SameRecords(adj[n], g.adjacencies(n))) << "node " << n;
+    EXPECT_TRUE(SameRecords(adj[n], g.csr().Range(n, kNoLabelPartition)));
     for (Symbol s = 0; s < labels.size(); ++s) {
-      std::vector<Adjacency> want = FilteredAdjacency(g, n, labels.name(s));
+      std::vector<Adjacency> want;
+      for (const Adjacency& a : adj[n]) {
+        const std::vector<std::string> el = ModelLabels(in.edges[a.edge]);
+        if (std::binary_search(el.begin(), el.end(), labels.name(s))) {
+          want.push_back(a);
+        }
+      }
       AdjSpan got = g.csr().Range(n, s);
       EXPECT_TRUE(SameRecords(want, got))
           << "node " << n << " label " << labels.name(s) << ": want "
           << want.size() << " records, got " << got.count;
-      bucket_total += got.count;
     }
-    // Cross-check the partition sizes: every record of a k-labeled edge
-    // appears in exactly k buckets.
-    size_t want_total = 0;
-    for (const Adjacency& adj : g.adjacencies(n)) {
-      want_total += g.edge(adj.edge).labels.size();
-    }
-    EXPECT_EQ(bucket_total, want_total) << "node " << n;
-    // Unknown symbols yield empty ranges, never out-of-bounds.
     EXPECT_EQ(g.csr().Range(n, static_cast<Symbol>(labels.size())).count,
               0u);
+    EXPECT_EQ(g.csr().Range(n, kInvalidSymbol).count, 0u);
   }
 
-  // --- property columns mirror the string-keyed maps exactly.
-  for (NodeId n = 0; n < g.num_nodes(); ++n) {
-    const NodeData& nd = g.node(n);
-    for (const auto& [key, value] : nd.properties) {
-      EXPECT_EQ(g.GetPropertyFast(ElementRef::Node(n), key), value)
-          << "node " << n << "." << key;
-    }
-    EXPECT_TRUE(
-        g.GetPropertyFast(ElementRef::Node(n), "no_such_key").is_null());
-  }
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const EdgeData& ed = g.edge(e);
-    for (const auto& [key, value] : ed.properties) {
-      EXPECT_EQ(g.GetPropertyFast(ElementRef::Edge(e), key), value)
-          << "edge " << e << "." << key;
-    }
-  }
-
-  // --- equality seed index: for every (label, key, value) present on some
-  // labeled node, the index returns exactly the scan result in ascending
-  // node-id order.
-  for (NodeId n = 0; n < g.num_nodes(); ++n) {
-    const NodeData& nd = g.node(n);
-    for (const std::string& label : nd.labels) {
-      for (const auto& [key, value] : nd.properties) {
+  // Equality seed index: for every (label, key, value) on some node, the
+  // nodes of the model scan in ascending id order.
+  for (const ElementInput& node : in.nodes) {
+    for (const std::string& label : ModelLabels(node)) {
+      for (const auto& [key, value] : ModelProperties(node)) {
         std::vector<NodeId> want;
-        for (NodeId m = 0; m < g.num_nodes(); ++m) {
-          const NodeData& md = g.node(m);
-          if (!md.HasLabel(label)) continue;
-          auto it = md.properties.find(key);
-          if (it != md.properties.end() && it->second == value) {
+        for (NodeId m = 0; m < in.nodes.size(); ++m) {
+          const std::vector<std::string> ml = ModelLabels(in.nodes[m]);
+          const std::map<std::string, Value> mp =
+              ModelProperties(in.nodes[m]);
+          auto it = mp.find(key);
+          if (std::binary_search(ml.begin(), ml.end(), label) &&
+              it != mp.end() && it->second == value) {
             want.push_back(m);
           }
         }
@@ -144,6 +282,14 @@ void CheckGraph(const PropertyGraph& g) {
   }
   EXPECT_TRUE(g.IndexedNodes("NoSuchLabel", "k", Value::Int(1)).empty());
   EXPECT_TRUE(g.IndexedNodes("", "", Value::Null()).empty());
+}
+
+/// A graph and the input it was built from, checked together; rebuilding
+/// a generator graph from its views must reproduce every index exactly.
+void CheckGraph(const PropertyGraph& g) {
+  const GraphInput in = InputOf(g);
+  CheckGraph(g, in);
+  CheckGraph(Build(in), in);
 }
 
 TEST(CsrIndexTest, PaperGraph) { CheckGraph(BuildPaperGraph()); }
@@ -165,6 +311,14 @@ TEST(CsrIndexTest, GeneratedGraphs) {
   }
   CheckGraph(MakeChainGraph(12));
   CheckGraph(MakeDiamondChain(3));
+}
+
+TEST(CsrIndexTest, ColumnsEqualBuilderInput) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const GraphInput in = RandomInput(seed);
+    CheckGraph(Build(in), in);
+  }
 }
 
 TEST(CsrIndexTest, SelfLoopsAndParallelEdges) {
@@ -220,7 +374,7 @@ TEST(CsrIndexTest, CompiledLabelPredsAgreeWithStringMatching) {
           CompiledLabelPred::Compile(expr, labels, use_bits);
       for (NodeId n = 0; n < g.num_nodes(); ++n) {
         SymSpan syms = g.node_label_syms(n);
-        bool want = expr == nullptr || expr->Matches(g.node(n).labels);
+        bool want = expr == nullptr || expr->Matches(g.node(n).labels());
         EXPECT_EQ(pred.Matches(use_bits ? g.node_label_bits(n) : 0,
                                syms.data, syms.count),
                   want)
@@ -250,19 +404,17 @@ TEST(CsrIndexTest, LabelUniverseBeyondBitsetStillExact) {
   ASSERT_FALSE(g.label_bits_usable());
   CheckGraph(g);
 
-  // End-to-end through the engine: the conjunction must match and results
-  // agree between the CSR path and the legacy oracle.
+  // End-to-end through the engine: the conjunction must match exactly
+  // n3 -[e3]-> n4 (n4.w = 4 < 5) on both matcher routes.
   const std::string q =
       "MATCH (x:L3&Common)-[:E3]->(y:Common WHERE y.w < 5)";
-  EngineOptions on;
-  EngineOptions off;
-  off.use_csr = false;
-  Result<MatchOutput> rows_on = Engine(g, on).Match(q);
-  Result<MatchOutput> rows_off = Engine(g, off).Match(q);
-  ASSERT_TRUE(rows_on.ok());
-  ASSERT_TRUE(rows_off.ok());
-  EXPECT_EQ(rows_on->rows.size(), 1u);
-  EXPECT_EQ(rows_off->rows.size(), 1u);
+  for (bool batch : {true, false}) {
+    EngineOptions options;
+    options.use_batch = batch;
+    EXPECT_EQ(testing_util::Rows(g, q, "x, y", options),
+              std::vector<std::string>{"n3|n4"})
+        << "batch=" << batch;
+  }
 }
 
 TEST(CsrIndexTest, ConjunctionSeedsFromMostSelectiveConjunct) {

@@ -50,11 +50,12 @@ TEST(GeneratorTest, FraudGraphRespectsOptions) {
   opt.transfers_per_account = 3;
   opt.num_cities = 5;
   PropertyGraph g = MakeFraudGraph(opt);
-  EXPECT_EQ(g.NodesWithLabel("Account").size(), 100u);
-  EXPECT_EQ(g.NodesWithLabel("City").size(), 5u);
-  EXPECT_EQ(g.EdgesWithLabel("Transfer").size(), 300u);
-  EXPECT_EQ(g.EdgesWithLabel("isLocatedIn").size(), 100u);
-  EXPECT_EQ(g.EdgesWithLabel("hasPhone").size(), 100u);
+  auto label = [&g](const char* name) { return g.label_symbols().Find(name); };
+  EXPECT_EQ(g.NodesWithLabel(label("Account")).size(), 100u);
+  EXPECT_EQ(g.NodesWithLabel(label("City")).size(), 5u);
+  EXPECT_EQ(g.EdgesWithLabel(label("Transfer")).size(), 300u);
+  EXPECT_EQ(g.EdgesWithLabel(label("isLocatedIn")).size(), 100u);
+  EXPECT_EQ(g.EdgesWithLabel(label("hasPhone")).size(), 100u);
 }
 
 TEST(GeneratorTest, FraudGraphDeterministicInSeed) {

@@ -39,10 +39,10 @@ TEST_F(GraphProjectionTest, SingleBindingSubgraph) {
 TEST_F(GraphProjectionTest, PropertiesAndLabelsCarryOver) {
   PropertyGraph sub = Project(
       "MATCH (a WHERE a.owner='Jay')-[e:Transfer]->(b)");
-  const NodeData& a4 = sub.node(sub.FindNode("a4"));
+  const ElementView a4 = sub.node(sub.FindNode("a4"));
   EXPECT_TRUE(a4.HasLabel("Account"));
   EXPECT_EQ(a4.GetProperty("isBlocked"), Value::String("yes"));
-  const EdgeData& t4 = sub.edge(sub.FindEdge("t4"));
+  const ElementView t4 = sub.edge(sub.FindEdge("t4"));
   EXPECT_EQ(t4.GetProperty("amount"), Value::Int(10'000'000));
   EXPECT_TRUE(t4.directed);
 }

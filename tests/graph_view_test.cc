@@ -41,25 +41,25 @@ TEST_F(GraphViewTest, MaterializedViewEqualsFigureOneGraph) {
 
   // Element-by-element comparison through external names.
   for (NodeId n = 0; n < direct.num_nodes(); ++n) {
-    const NodeData& want = direct.node(n);
+    const ElementView want = direct.node(n);
     NodeId m = view->FindNode(want.name);
     ASSERT_NE(m, kInvalidId) << want.name;
-    const NodeData& got = view->node(m);
-    EXPECT_EQ(got.labels, want.labels) << want.name;
-    for (const auto& [prop, value] : want.properties) {
+    const ElementView got = view->node(m);
+    EXPECT_EQ(got.labels(), want.labels()) << want.name;
+    for (const auto& [prop, value] : want.properties()) {
       EXPECT_EQ(got.GetProperty(prop), value) << want.name << "." << prop;
     }
   }
   for (EdgeId e = 0; e < direct.num_edges(); ++e) {
-    const EdgeData& want = direct.edge(e);
+    const ElementView want = direct.edge(e);
     EdgeId f = view->FindEdge(want.name);
     ASSERT_NE(f, kInvalidId) << want.name;
-    const EdgeData& got = view->edge(f);
+    const ElementView got = view->edge(f);
     EXPECT_EQ(got.directed, want.directed) << want.name;
     EXPECT_EQ(view->node(got.u).name, direct.node(want.u).name);
     EXPECT_EQ(view->node(got.v).name, direct.node(want.v).name);
-    EXPECT_EQ(got.labels, want.labels);
-    for (const auto& [prop, value] : want.properties) {
+    EXPECT_EQ(got.labels(), want.labels());
+    for (const auto& [prop, value] : want.properties()) {
       EXPECT_EQ(got.GetProperty(prop), value) << want.name << "." << prop;
     }
   }
@@ -69,7 +69,7 @@ TEST_F(GraphViewTest, CityCountryTableYieldsBothLabels) {
   // Figure 2: one relation per label combination; CityCountry holds c2.
   Result<PropertyGraph> view = MaterializeGraphView(catalog_, def_);
   ASSERT_TRUE(view.ok());
-  const NodeData& c2 = view->node(view->FindNode("c2"));
+  const ElementView c2 = view->node(view->FindNode("c2"));
   EXPECT_TRUE(c2.HasLabel("City"));
   EXPECT_TRUE(c2.HasLabel("Country"));
 }
@@ -122,7 +122,7 @@ TEST_F(GraphViewTest, ExplicitPropertyColumnSelection) {
   def.nodes[0].property_columns = {"owner"};  // Drop isBlocked.
   Result<PropertyGraph> view = MaterializeGraphView(catalog_, def);
   ASSERT_TRUE(view.ok());
-  const NodeData& a1 = view->node(view->FindNode("a1"));
+  const ElementView a1 = view->node(view->FindNode("a1"));
   EXPECT_FALSE(a1.GetProperty("owner").is_null());
   EXPECT_TRUE(a1.GetProperty("isBlocked").is_null());
 }

@@ -11,11 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "eval/engine.h"
 #include "gql/json_export.h"
+#include "graph/generator.h"
 #include "graph/graph_builder.h"
 #include "graph/sample_graph.h"
 #include "server/json.h"
@@ -261,6 +264,33 @@ TEST(RowToJsonTest, HostilePropertyValuesStayParseable) {
   const server::JsonValue* quote = props->Find("quote");
   ASSERT_NE(quote, nullptr);
   EXPECT_EQ(quote->string_v, "say \"hi\"\\done");
+}
+
+// --- element export golden ---------------------------------------------------
+
+// ElementToJson of every element of the paper graph and of a random mixed
+// multigraph, one per line, must match tests/golden/element_json.txt byte
+// for byte: node and edge views render names, endpoints, sorted labels and
+// key-ordered properties exactly as the graph store always has.
+TEST(ElementJsonTest, MatchesGolden) {
+  std::string path = __FILE__;
+  path = path.substr(0, path.find_last_of('/')) + "/golden/element_json.txt";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path;
+  std::stringstream golden;
+  golden << in.rdbuf();
+
+  std::string got;
+  for (const PropertyGraph& g :
+       {BuildPaperGraph(), MakeRandomGraph(40, 120, 5, 0.3, /*seed=*/7)}) {
+    for (NodeId n = 0; n < g.num_nodes(); ++n) {
+      got += ElementToJson(g, ElementRef::Node(n)) + "\n";
+    }
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      got += ElementToJson(g, ElementRef::Edge(e)) + "\n";
+    }
+  }
+  EXPECT_EQ(got, golden.str());
 }
 
 }  // namespace

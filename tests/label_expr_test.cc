@@ -9,7 +9,7 @@ namespace {
 
 std::vector<std::string> L(std::initializer_list<const char*> names) {
   std::vector<std::string> out(names.begin(), names.end());
-  // ElementData stores labels sorted.
+  // Element views return labels sorted.
   std::sort(out.begin(), out.end());
   return out;
 }

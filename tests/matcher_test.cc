@@ -21,7 +21,31 @@ Result<MatchSet> RunMatch(const PropertyGraph& g, const std::string& text,
   VarTable vars(analysis);
   GPML_ASSIGN_OR_RETURN(Program program,
                         CompilePattern(normalized.paths[0], vars));
+  BindProgramToGraph(&program, g);
   return RunPattern(g, program, vars, options);
+}
+
+TEST(MatcherTest, UnboundProgramWithLabelsIsAnError) {
+  PropertyGraph g = MakeChainGraph(3);
+  for (const char* text :
+       {"MATCH (a:Account)", "MATCH (a)-[:Transfer]->(b)"}) {
+    Result<GraphPattern> parsed = ParseGraphPattern(text);
+    ASSERT_TRUE(parsed.ok());
+    Result<GraphPattern> normalized = Normalize(*parsed);
+    ASSERT_TRUE(normalized.ok());
+    Result<Analysis> analysis = Analyze(*normalized);
+    ASSERT_TRUE(analysis.ok());
+    VarTable vars(*analysis);
+    Result<Program> program = CompilePattern(normalized->paths[0], vars);
+    ASSERT_TRUE(program.ok());
+    Result<MatchSet> unbound = RunPattern(g, *program, vars, {});
+    ASSERT_FALSE(unbound.ok()) << text;
+    EXPECT_EQ(unbound.status().code(), StatusCode::kInvalidArgument) << text;
+    BindProgramToGraph(&*program, g);
+    Result<MatchSet> bound = RunPattern(g, *program, vars, {});
+    ASSERT_TRUE(bound.ok()) << text << ": " << bound.status();
+    EXPECT_FALSE(bound->bindings.empty()) << text;
+  }
 }
 
 TEST(MatcherTest, BindingsOrderedByPathLength) {

@@ -1,7 +1,7 @@
 // The observability layer (docs/observability.md): the metrics registry's
 // counter/histogram semantics (including exactness under concurrent
 // increments — run under TSan in CI), the engine's span-tree tracing across
-// the {threads} x {csr} x {planner} x {cache} execution matrix, Prometheus
+// the {threads} x {planner} x {cache} execution matrix, Prometheus
 // text-format rendering validated against the exposition-format grammar,
 // the slow-query ring buffer and its engine capture path, streaming-cursor
 // publication semantics, and both hosts' retrieval surfaces.
@@ -238,42 +238,38 @@ TEST(TraceTest, EngineTraceAcrossExecutionMatrix) {
   size_t want_rows = 0;
   bool first_config = true;
   for (size_t threads : {size_t{1}, size_t{8}}) {
-    for (bool csr : {true, false}) {
-      for (bool planner : {true, false}) {
-        // Fresh graph per config: the first run is a plan-cache miss, the
-        // second a hit whose trace replays the stored compile costs.
-        PropertyGraph g = MakeFraudGraph(graph_options);
-        EngineMetrics metrics;
-        obs::Trace trace;
-        EngineOptions options;
-        options.num_threads = threads;
-        options.use_csr = csr;
-        options.use_planner = planner;
-        options.metrics = &metrics;
-        options.trace = &trace;
-        Engine engine(g, options);
+    for (bool planner : {true, false}) {
+      // Fresh graph per config: the first run is a plan-cache miss, the
+      // second a hit whose trace replays the stored compile costs.
+      PropertyGraph g = MakeFraudGraph(graph_options);
+      EngineMetrics metrics;
+      obs::Trace trace;
+      EngineOptions options;
+      options.num_threads = threads;
+      options.use_planner = planner;
+      options.metrics = &metrics;
+      options.trace = &trace;
+      Engine engine(g, options);
 
-        for (bool warm : {false, true}) {
-          std::string config = "threads=" + std::to_string(threads) +
-                               " csr=" + std::to_string(csr) +
-                               " planner=" + std::to_string(planner) +
-                               " warm=" + std::to_string(warm);
-          Result<MatchOutput> out = engine.Match(kFraudQuery);
-          ASSERT_TRUE(out.ok()) << config << ": " << out.status();
-          if (first_config) {
-            want_rows = out->rows.size();
-            first_config = false;
-          }
-          EXPECT_EQ(out->rows.size(), want_rows)
-              << config << ": tracing must not change results";
-          CheckEngineTrace(trace, /*expect_cached=*/warm, config);
-          // The trace's stage totals are the same measurements the
-          // metrics report (docs/observability.md).
-          EXPECT_GE(metrics.plan_ms, 0) << config;
-          EXPECT_GE(metrics.seed_ms, 0) << config;
-          EXPECT_GE(metrics.exec_ms, 0) << config;
-          EXPECT_EQ(metrics.plan_cache_hits, warm ? 1u : 0u) << config;
+      for (bool warm : {false, true}) {
+        std::string config = "threads=" + std::to_string(threads) +
+                             " planner=" + std::to_string(planner) +
+                             " warm=" + std::to_string(warm);
+        Result<MatchOutput> out = engine.Match(kFraudQuery);
+        ASSERT_TRUE(out.ok()) << config << ": " << out.status();
+        if (first_config) {
+          want_rows = out->rows.size();
+          first_config = false;
         }
+        EXPECT_EQ(out->rows.size(), want_rows)
+            << config << ": tracing must not change results";
+        CheckEngineTrace(trace, /*expect_cached=*/warm, config);
+        // The trace's stage totals are the same measurements the
+        // metrics report (docs/observability.md).
+        EXPECT_GE(metrics.plan_ms, 0) << config;
+        EXPECT_GE(metrics.seed_ms, 0) << config;
+        EXPECT_GE(metrics.exec_ms, 0) << config;
+        EXPECT_EQ(metrics.plan_cache_hits, warm ? 1u : 0u) << config;
       }
     }
   }

@@ -20,7 +20,7 @@ class PathTest : public ::testing::Test {
     for (size_t i = 1; i + 1 < names.size(); i += 2) {
       EdgeId e = E(names[i]);
       NodeId to = N(names[i + 2 - 1]);
-      const EdgeData& ed = g_.edge(e);
+      const ElementView ed = g_.edge(e);
       Traversal t = Traversal::kUndirected;
       if (ed.directed) {
         t = (g_.Cross(e, p.End(), Traversal::kForward) == to)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "gql/json_export.h"
 #include "graph/graph_builder.h"
 
 namespace gpml {
@@ -36,29 +37,29 @@ TEST(PropertyGraphTest, LookupByName) {
 
 TEST(PropertyGraphTest, LabelsAreSortedAndSearchable) {
   PropertyGraph g = std::move(SmallGraph()).value();
-  const NodeData& n2 = g.node(g.FindNode("n2"));
+  const ElementView n2 = g.node(g.FindNode("n2"));
   EXPECT_TRUE(n2.HasLabel("A"));
   EXPECT_TRUE(n2.HasLabel("B"));
   EXPECT_FALSE(n2.HasLabel("C"));
-  const NodeData& n3 = g.node(g.FindNode("n3"));
-  EXPECT_TRUE(n3.labels.empty());
+  const ElementView n3 = g.node(g.FindNode("n3"));
+  EXPECT_TRUE(n3.labels().empty());
 }
 
 TEST(PropertyGraphTest, LabelIndex) {
   PropertyGraph g = std::move(SmallGraph()).value();
-  EXPECT_EQ(g.NodesWithLabel("A").size(), 2u);
-  EXPECT_EQ(g.NodesWithLabel("B").size(), 1u);
-  EXPECT_TRUE(g.NodesWithLabel("Z").empty());
-  EXPECT_EQ(g.EdgesWithLabel("X").size(), 2u);
-  EXPECT_EQ(g.EdgesWithLabel("Y").size(), 2u);
+  EXPECT_EQ(g.NodesWithLabel(g.label_symbols().Find("A")).size(), 2u);
+  EXPECT_EQ(g.NodesWithLabel(g.label_symbols().Find("B")).size(), 1u);
+  EXPECT_TRUE(g.NodesWithLabel(g.label_symbols().Find("Z")).empty());
+  EXPECT_EQ(g.EdgesWithLabel(g.label_symbols().Find("X")).size(), 2u);
+  EXPECT_EQ(g.EdgesWithLabel(g.label_symbols().Find("Y")).size(), 2u);
 }
 
 TEST(PropertyGraphTest, PropertiesAndMissingProperty) {
   PropertyGraph g = std::move(SmallGraph()).value();
-  const NodeData& n1 = g.node(g.FindNode("n1"));
+  const ElementView n1 = g.node(g.FindNode("n1"));
   EXPECT_EQ(n1.GetProperty("k"), Value::Int(1));
   EXPECT_TRUE(n1.GetProperty("missing").is_null());
-  const EdgeData& e1 = g.edge(g.FindEdge("e1"));
+  const ElementView e1 = g.edge(g.FindEdge("e1"));
   EXPECT_EQ(e1.GetProperty("w"), Value::Int(7));
 }
 
@@ -140,7 +141,7 @@ TEST(GraphBuilderTest, DuplicateLabelsDeduplicated) {
   GraphBuilder b;
   b.AddNode("x", {"A", "A", "B"});
   PropertyGraph g = std::move(std::move(b).Build()).value();
-  EXPECT_EQ(g.node(0).labels.size(), 2u);
+  EXPECT_EQ(g.node(0).labels(), (std::vector<std::string>{"A", "B"}));
 }
 
 TEST(PropertyGraphTest, ParallelEdgesAllowed) {
@@ -152,6 +153,65 @@ TEST(PropertyGraphTest, ParallelEdgesAllowed) {
   PropertyGraph g = std::move(std::move(b).Build()).value();
   EXPECT_EQ(g.num_edges(), 2u);
   EXPECT_EQ(g.adjacencies(g.FindNode("u")).size(), 2u);
+}
+
+// The one store's build rules, observed through both the view and the
+// element export.
+TEST(GraphBuilderTest, NullValuedPropertyIsAbsent) {
+  GraphBuilder b;
+  b.AddNode("x", {"A"}, {{"k", Value::Null()}, {"m", Value::Int(2)}});
+  b.AddDirectedEdge("e", "x", "x", {"T"}, {{"w", Value::Null()}});
+  PropertyGraph g = std::move(b).Build().value();
+  EXPECT_TRUE(g.node(0).GetProperty("k").is_null());
+  EXPECT_EQ(g.node(0).properties(), (PropertyList{{"m", Value::Int(2)}}));
+  EXPECT_EQ(ElementToJson(g, ElementRef::Node(0)),
+            "{\"kind\":\"node\",\"name\":\"x\",\"labels\":[\"A\"],"
+            "\"properties\":{\"m\":2}}");
+  EXPECT_EQ(ElementToJson(g, ElementRef::Edge(0)),
+            "{\"kind\":\"edge\",\"name\":\"e\",\"directed\":true,"
+            "\"endpoints\":[\"x\",\"x\"],\"labels\":[\"T\"],"
+            "\"properties\":{}}");
+}
+
+TEST(GraphBuilderTest, RepeatedKeyKeepsLastValue) {
+  GraphBuilder b;
+  b.AddNode("x", {"A"},
+            {{"k", Value::Int(1)}, {"j", Value::Int(0)}, {"k", Value::Int(3)}});
+  // A trailing NULL clears an earlier value: the last value is NULL, and a
+  // NULL value is an absent property.
+  b.AddNode("y", {"A"}, {{"k", Value::Int(1)}, {"k", Value::Null()}});
+  PropertyGraph g = std::move(b).Build().value();
+  EXPECT_EQ(g.node(0).GetProperty("k"), Value::Int(3));
+  EXPECT_EQ(ElementToJson(g, ElementRef::Node(0)),
+            "{\"kind\":\"node\",\"name\":\"x\",\"labels\":[\"A\"],"
+            "\"properties\":{\"j\":0,\"k\":3}}");
+  EXPECT_TRUE(g.node(1).GetProperty("k").is_null());
+  EXPECT_EQ(ElementToJson(g, ElementRef::Node(1)),
+            "{\"kind\":\"node\",\"name\":\"y\",\"labels\":[\"A\"],"
+            "\"properties\":{}}");
+  EXPECT_EQ(g.IndexedNodes("A", "k", Value::Int(3)),
+            std::vector<NodeId>{0});
+  EXPECT_TRUE(g.IndexedNodes("A", "k", Value::Int(1)).empty());
+}
+
+TEST(GraphBuilderTest, ExplicitEmptyLabelSetStaysEmpty) {
+  GraphBuilder b;
+  b.AddNode("x", {}, {{"k", Value::String("v")}});
+  b.AddNode("y", {"A"});
+  b.AddUndirectedEdge("e", "x", "y", {});
+  PropertyGraph g = std::move(b).Build().value();
+  EXPECT_TRUE(g.node(0).labels().empty());
+  EXPECT_EQ(g.node(0).GetProperty("k"), Value::String("v"));
+  EXPECT_EQ(ElementToJson(g, ElementRef::Node(0)),
+            "{\"kind\":\"node\",\"name\":\"x\",\"labels\":[],"
+            "\"properties\":{\"k\":\"v\"}}");
+  EXPECT_EQ(ElementToJson(g, ElementRef::Edge(0)),
+            "{\"kind\":\"edge\",\"name\":\"e\",\"directed\":false,"
+            "\"endpoints\":[\"x\",\"y\"],\"labels\":[],"
+            "\"properties\":{}}");
+  // Label-less edges sit in the full range and in no label bucket.
+  EXPECT_EQ(g.adjacencies(0).size(), 1u);
+  EXPECT_TRUE(g.csr().Range(0, g.label_symbols().Find("A")).empty());
 }
 
 }  // namespace

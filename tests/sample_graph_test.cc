@@ -26,7 +26,7 @@ TEST_F(SampleGraphTest, AccountOwnersAndBlockedFlags) {
   for (int i = 0; i < 6; ++i) {
     NodeId n = g_.FindNode("a" + std::to_string(i + 1));
     ASSERT_NE(n, kInvalidId);
-    const NodeData& nd = g_.node(n);
+    const ElementView nd = g_.node(n);
     EXPECT_TRUE(nd.HasLabel("Account"));
     EXPECT_EQ(nd.GetProperty("owner"), Value::String(owners[i]));
     EXPECT_EQ(nd.GetProperty("isBlocked"),
@@ -36,12 +36,12 @@ TEST_F(SampleGraphTest, AccountOwnersAndBlockedFlags) {
 }
 
 TEST_F(SampleGraphTest, PlaceNodes) {
-  const NodeData& c1 = g_.node(g_.FindNode("c1"));
+  const ElementView c1 = g_.node(g_.FindNode("c1"));
   EXPECT_TRUE(c1.HasLabel("Country"));
   EXPECT_FALSE(c1.HasLabel("City"));
   EXPECT_EQ(c1.GetProperty("name"), Value::String("Zembla"));
 
-  const NodeData& c2 = g_.node(g_.FindNode("c2"));
+  const ElementView c2 = g_.node(g_.FindNode("c2"));
   EXPECT_TRUE(c2.HasLabel("Country"));
   EXPECT_TRUE(c2.HasLabel("City"));
   EXPECT_EQ(c2.GetProperty("name"), Value::String("Ankh-Morpork"));
@@ -62,7 +62,7 @@ TEST_F(SampleGraphTest, TransferTopologyAndAmounts) {
   for (const Row& r : rows) {
     EdgeId e = g_.FindEdge(r.id);
     ASSERT_NE(e, kInvalidId) << r.id;
-    const EdgeData& ed = g_.edge(e);
+    const ElementView ed = g_.edge(e);
     EXPECT_TRUE(ed.directed);
     EXPECT_TRUE(ed.HasLabel("Transfer"));
     EXPECT_EQ(ed.u, g_.FindNode(r.from)) << r.id;
@@ -77,7 +77,7 @@ TEST_F(SampleGraphTest, LocationEdges) {
   for (int i = 1; i <= 6; ++i) {
     EdgeId e = g_.FindEdge("li" + std::to_string(i));
     ASSERT_NE(e, kInvalidId);
-    const EdgeData& ed = g_.edge(e);
+    const ElementView ed = g_.edge(e);
     EXPECT_TRUE(ed.HasLabel("isLocatedIn"));
     EXPECT_EQ(ed.u, g_.FindNode("a" + std::to_string(i)));
     EXPECT_EQ(ed.v, g_.FindNode(i % 2 == 1 ? "c1" : "c2"));
@@ -96,7 +96,7 @@ TEST_F(SampleGraphTest, PhoneEdgesAreUndirected) {
   for (const Row& r : rows) {
     EdgeId e = g_.FindEdge(r.id);
     ASSERT_NE(e, kInvalidId);
-    const EdgeData& ed = g_.edge(e);
+    const ElementView ed = g_.edge(e);
     EXPECT_FALSE(ed.directed) << r.id;
     EXPECT_TRUE(ed.HasLabel("hasPhone"));
     EXPECT_EQ(ed.u, g_.FindNode(r.account));
@@ -105,11 +105,11 @@ TEST_F(SampleGraphTest, PhoneEdgesAreUndirected) {
 }
 
 TEST_F(SampleGraphTest, SignInEdges) {
-  const EdgeData& sip1 = g_.edge(g_.FindEdge("sip1"));
+  const ElementView sip1 = g_.edge(g_.FindEdge("sip1"));
   EXPECT_EQ(sip1.u, g_.FindNode("a1"));
   EXPECT_EQ(sip1.v, g_.FindNode("ip1"));
   EXPECT_TRUE(sip1.HasLabel("signInWithIP"));
-  const EdgeData& sip2 = g_.edge(g_.FindEdge("sip2"));
+  const ElementView sip2 = g_.edge(g_.FindEdge("sip2"));
   EXPECT_EQ(sip2.u, g_.FindNode("a5"));
   EXPECT_EQ(sip2.v, g_.FindNode("ip2"));
 }

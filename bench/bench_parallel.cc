@@ -49,9 +49,9 @@ struct Workload {
 };
 
 const Workload kWorkloads[] = {
-    // ANY runs on the reachability route with an end filter in a few
-    // milliseconds, of which the serial co-location step and join take
-    // about a fifth: sub-10ms, so correctness only.
+    // ANY runs on the reachability route from its few bound ends, as one
+    // shard at every thread count, in a few milliseconds: correctness
+    // only (rows and steps must still match across thread counts).
     {"fig4_fraud_any",
      "MATCH (x:Account WHERE x.isBlocked='no')-[:isLocatedIn]->"
      "(g:City WHERE g.name='Ankh-Morpork')<-[:isLocatedIn]-"

@@ -329,9 +329,9 @@ planner::ExplainExec AnalyzedExec(const ExecRecord& rec, bool use_batch) {
 /// Lays out the span tree of a finished execution from its record. Spans
 /// carry the measured stage durations, placed back to back in execution
 /// order: parse/plan replayed at the epoch, then per declaration a decl
-/// span owning its seed and per-shard children, each join, and the final
-/// filter. Streams do their work across pulls, so the same reconstruction
-/// serves both routes.
+/// span owning its seed, per-shard and merge children, each join, and the
+/// final filter. Streams do their work across pulls, so the same
+/// reconstruction serves both routes.
 void BuildTrace(const EngineOptions& options,
                 const planner::CachedPlan& prepared, const ExecRecord& rec,
                 obs::Trace* tr) {
@@ -359,11 +359,15 @@ void BuildTrace(const EngineOptions& options,
                                                : "scan");
     tr->AddComplete("seed", decl, at, MsToUs(a.seed_ms));
     const uint64_t shard_start = at + MsToUs(a.seed_ms);
+    double longest_shard_ms = 0;
     for (size_t i = 0; i < a.shard_ms.size(); ++i) {
       const int shard =
           tr->AddComplete("shard", decl, shard_start, MsToUs(a.shard_ms[i]));
       tr->Attr(shard, "shard", std::to_string(i));
+      longest_shard_ms = std::max(longest_shard_ms, a.shard_ms[i]);
     }
+    tr->AddComplete("merge", decl, shard_start + MsToUs(longest_shard_ms),
+                    MsToUs(a.merge_ms));
     at += MsToUs(a.ms);
     if (pos > 0) {
       tr->AddComplete("join", root, at, MsToUs(a.join_ms));
@@ -531,6 +535,10 @@ void ExecRecord::Accumulate(const MatchStats& stats, size_t bindings) {
   a.ms += stats.match_ms;
   a.seed_ms += stats.seed_ms;
   a.route = MatchRouteName(stats.route);
+  a.reach_from = stats.route != MatchRoute::kReach ? ""
+                 : stats.reach_from_targets       ? "targets"
+                                                  : "seeds";
+  a.merge_ms += stats.merge_ms;
   if (a.shard_ms.size() < stats.shard_ms.size()) {
     a.shard_ms.resize(stats.shard_ms.size(), 0.0);
   }

@@ -213,12 +213,13 @@ class Matcher {
   /// in the interpreter loop. With a shared budget (parallel shards), steps
   /// are charged in batches of `charge_stride` to keep the hot loop off the
   /// shared cache line; see ChargeSteps. Accepts are always capped locally
-  /// at `match_cap` (see RecordAccept); `end_filter` is RunPattern's.
+  /// at `match_cap` (see RecordAccept); `end_filter` is RunPattern's, and
+  /// `reach_from_targets` its choice of the reach route's direction.
   Matcher(const PropertyGraph& g, const Program& program, const VarTable& vars,
           const MatcherOptions& options, const NodeId* seeds,
           size_t num_seeds, SharedBudget* budget, size_t charge_stride,
           const Params* params, size_t match_cap,
-          const std::vector<NodeId>* end_filter)
+          const std::vector<NodeId>* end_filter, bool reach_from_targets)
       : g_(g),
         program_(program),
         vars_(vars),
@@ -229,7 +230,8 @@ class Matcher {
         charge_stride_(charge_stride),
         params_(params),
         match_cap_(match_cap),
-        end_filter_(end_filter) {}
+        end_filter_(end_filter),
+        reach_from_targets_(reach_from_targets) {}
 
   Status Run() {
     // Fast routes (docs/vectorized.md): eligible programs with all their
@@ -238,7 +240,7 @@ class Matcher {
     if (!program_.selector.IsNone()) {
       if (options_.use_batch && TryBindReach()) {
         route_ = MatchRoute::kReach;
-        return RunReach();
+        return reach_from_targets_ ? RunReachFromTargets() : RunReach();
       }
       return RunBfs();
     }
@@ -936,6 +938,15 @@ class Matcher {
   // node — the one ApplySelector keeps — is ever materialized. Per-seed
   // output is level-ordered; MergeShards' stable length sort interleaves
   // the seeds back into the scalar's level-then-seed order.
+  //
+  // Because each level is admitted in order of its tree paths' keys — the
+  // start closure item, then (CSR position, closure item) per hop — the
+  // first accept at an end node t is the lexicographically smallest of the
+  // shortest accept paths to t. The target side (RunReachFromTargets)
+  // rebuilds exactly that path from the other end: one reverse BFS per
+  // end-filter node gives every state its distance to an accept there,
+  // and a greedy forward walk from each seed takes the first key whose
+  // successor is one hop closer.
 
   /// One admitted (edge-step position, node) pair: the node, the edge and
   /// traversal that reached it (kInvalidId for the seed's own entries), the
@@ -956,8 +967,7 @@ class Matcher {
   bool TryBindReach() {
     const ReachPlan* rp = program_.reach.get();
     return rp != nullptr && rp->eligible &&
-           BindKernels(rp->node_checks, &node_kernels_) &&
-           BindKernels(rp->edges, &edge_kernels_);
+           BindKernels(rp->node_checks, &node_kernels_);
   }
 
   /// Do the node checks of closure item `item` pass on `node`?
@@ -988,6 +998,15 @@ class Matcher {
                              ElementRef::Node(node)});
     }
     return chain;
+  }
+
+  /// Does edge step `edge_in` admit crossing `edge` as `traversal`:
+  /// orientation, and label unless the CSR bucket implies it? (Reach edge
+  /// steps carry no WHERE.)
+  bool ReachEdgeOk(const Instr& edge_in, EdgeId edge,
+                   Traversal traversal) const {
+    return Admits(edge_in.edge->orientation, traversal) &&
+           (edge_in.edge_prefiltered || EdgeLabelOk(edge_in, edge));
   }
 
   /// The edge variable of the step that expanded entry `parent`.
@@ -1088,21 +1107,13 @@ class Matcher {
           const size_t step = static_cast<size_t>(rp.items[cur.item].edge);
           const ReachPlan::EdgeStep& es = rp.edges[step];
           const Instr& edge_in = program_.code[static_cast<size_t>(es.pc)];
-          const EdgeOrientation orientation = edge_in.edge->orientation;
           const AdjSpan range =
               g_.csr().Range(cur.node, edge_in.edge_label_sym);
           GPML_RETURN_IF_ERROR(ChargeSteps(range.count));
           batch_candidates_ += range.count;
           for (size_t k = 0; k < range.count && !done; ++k) {
             const Adjacency& adj = range[k];
-            if (!Admits(orientation, adj.traversal)) continue;
-            if (!edge_in.edge_prefiltered && !EdgeLabelOk(edge_in, adj.edge)) {
-              continue;
-            }
-            if (es.has_kernel && !EvalKernel(edge_kernels_[step], g_,
-                                             /*is_node=*/false, adj.edge)) {
-              continue;
-            }
+            if (!ReachEdgeOk(edge_in, adj.edge, adj.traversal)) continue;
             ++batch_survivors_;
             for (uint32_t it = es.item_begin; it < es.item_end && !done;
                  ++it) {
@@ -1113,6 +1124,364 @@ class Matcher {
         }
         level_begin = level_end;
       }
+    }
+    return Status::OK();
+  }
+
+  // --- Reachability route, target side (docs/vectorized.md) ---------------
+
+  /// Marks a state without a known distance to the current target.
+  static constexpr uint32_t kUnreached = 0xffffffffu;
+
+  /// One state the reverse BFS reached, in level order.
+  struct ReachState {
+    uint32_t step = 0;
+    NodeId node = kInvalidId;
+  };
+
+  /// One first hop of a seed out of a start-only step (see
+  /// RunReachFromTargets): the start closure item that parked there, the
+  /// CSR position, record and closure item taken, and the node reached.
+  struct FirstHop {
+    uint32_t start_item = 0;
+    uint32_t k = 0;
+    uint32_t item = 0;
+    NodeId node = kInvalidId;
+    EdgeId edge = kInvalidId;
+    Traversal traversal = Traversal::kForward;
+  };
+
+  /// One seed's witness to one target, staged until every target is done:
+  /// the seed's index, the path length, its key sequence
+  /// reach_keys_[key_begin, key_end) and its binding chain.
+  struct TargetWitness {
+    uint32_t seed = 0;
+    uint32_t length = 0;
+    uint32_t key_begin = 0;
+    uint32_t key_end = 0;
+    BindingChain chain;
+  };
+
+  /// The same edge crossed the other way.
+  static Traversal Reversed(Traversal t) {
+    switch (t) {
+      case Traversal::kForward: return Traversal::kBackward;
+      case Traversal::kBackward: return Traversal::kForward;
+      case Traversal::kUndirected: return Traversal::kUndirected;
+    }
+    return t;
+  }
+
+  /// Hops from closure item `item` on `node` to an accept at `target`: 0
+  /// when it accepts there, else the parked state's known distance
+  /// (kUnreached when none). The item's node checks are not evaluated.
+  uint32_t ItemDistance(const ReachPlan::Item& item, NodeId node,
+                        NodeId target) const {
+    if (item.edge < 0) return node == target ? 0 : kUnreached;
+    return reach_dist_[static_cast<size_t>(item.edge) * g_.num_nodes() +
+                       node];
+  }
+
+  /// What is known of a start item's hops to an accept at the target.
+  struct StartBounds {
+    uint32_t known = kUnreached;  // Its distance, once determined.
+    uint32_t floor = kUnreached;  // Otherwise the least it may still be;
+                                  // kUnreached: it never reaches the target.
+  };
+
+  /// Bounds for seed `seeds_[s]` through start closure item `it` when
+  /// every state at most `level` hops from an accept at `target` has its
+  /// distance (`exhausted`: every state that has one). A parked state not
+  /// found yet is more than `level` hops away; a first hop out of a
+  /// start-only step adds one.
+  StartBounds StartItemBounds(const ReachPlan& rp, size_t s, uint32_t it,
+                              NodeId target, uint32_t level,
+                              bool exhausted) const {
+    const ReachPlan::Item& item = rp.items[it];
+    StartBounds b;
+    if (item.edge < 0 || !reach_start_only_[static_cast<size_t>(item.edge)]) {
+      b.known = ItemDistance(item, seeds_[s], target);
+      if (b.known == kUnreached && item.edge >= 0 && !exhausted) {
+        b.floor = level + 1;
+      }
+      return b;
+    }
+    for (uint32_t h = reach_hop_begin_[s]; h < reach_hop_begin_[s + 1]; ++h) {
+      const FirstHop& hop = reach_hops_[h];
+      if (hop.start_item != it) continue;
+      const ReachPlan::Item& next = rp.items[hop.item];
+      const uint32_t d = ItemDistance(next, hop.node, target);
+      if (d != kUnreached) {
+        b.known = std::min(b.known, d + 1);
+      } else if (next.edge >= 0 && !exhausted) {
+        b.floor = level + 2;
+      }
+    }
+    return b;
+  }
+
+  /// Settles seed `seeds_[s]`'s witness length to `target` (kUnreached: no
+  /// path) into `*length` once no start item without a known distance can
+  /// still tie or beat the best known one; false while one can.
+  bool SettleSeed(const ReachPlan& rp, size_t s, NodeId target,
+                  uint32_t level, bool exhausted, uint32_t* length) const {
+    uint32_t best = kUnreached;
+    uint32_t floor = kUnreached;
+    for (uint32_t it = rp.start_begin; it < rp.start_end; ++it) {
+      if (!ReachChecksPass(rp, rp.items[it], seeds_[s], seeds_[s])) continue;
+      const StartBounds b =
+          StartItemBounds(rp, s, it, target, level, exhausted);
+      best = std::min(best, b.known);
+      if (b.known == kUnreached) floor = std::min(floor, b.floor);
+    }
+    *length = best;
+    return floor == kUnreached || best < floor;
+  }
+
+  /// Gives distance `dist` to every unreached state (e, v) with an edge of
+  /// step e into `node` through a closure item of e that ends on `node` at
+  /// `next_step` (-1: accepts there) and passes its checks: `node`'s CSR
+  /// range for step e, each record crossed the other way. Start-only steps
+  /// are skipped — their seeds' first hops are listed forward instead.
+  Status ReverseExpand(const ReachPlan& rp, int next_step, NodeId node,
+                       uint32_t dist) {
+    const size_t n = g_.num_nodes();
+    for (size_t e = 0; e < rp.edges.size(); ++e) {
+      if (reach_start_only_[e]) continue;
+      const ReachPlan::EdgeStep& es = rp.edges[e];
+      bool enters = false;
+      for (uint32_t it = es.item_begin; it < es.item_end && !enters; ++it) {
+        const ReachPlan::Item& item = rp.items[it];
+        enters =
+            item.edge == next_step && ReachChecksPass(rp, item, node, node);
+      }
+      if (!enters) continue;
+      const Instr& edge_in = program_.code[static_cast<size_t>(es.pc)];
+      const AdjSpan range = g_.csr().Range(node, edge_in.edge_label_sym);
+      GPML_RETURN_IF_ERROR(ChargeSteps(range.count));
+      batch_candidates_ += range.count;
+      for (size_t k = 0; k < range.count; ++k) {
+        const Adjacency& adj = range[k];
+        if (!ReachEdgeOk(edge_in, adj.edge, Reversed(adj.traversal))) {
+          continue;
+        }
+        ++batch_survivors_;
+        uint32_t& d = reach_dist_[e * n + adj.neighbor];
+        if (d != kUnreached) continue;
+        d = dist;
+        reach_states_.push_back({static_cast<uint32_t>(e), adj.neighbor});
+      }
+    }
+    return Status::OK();
+  }
+
+  /// Reverse BFS from the accepts at `target`, level by level, until every
+  /// seed's witness length is settled (reach_seed_len_, kUnreached for
+  /// seeds with no path). Each level is finished before seeds are settled
+  /// on it, so every state on a settled seed's shortest paths has its
+  /// distance when the walks run.
+  Status ReverseReach(const ReachPlan& rp, NodeId target) {
+    reach_states_.clear();
+    reach_pending_.clear();
+    for (size_t s = 0; s < num_seeds_; ++s) {
+      reach_pending_.push_back(static_cast<uint32_t>(s));
+    }
+    reach_seed_len_.assign(num_seeds_, kUnreached);
+    // Settles what the states known so far decide; false once none pend.
+    auto settle = [&](uint32_t level, bool exhausted) {
+      size_t kept = 0;
+      for (uint32_t s : reach_pending_) {
+        if (!SettleSeed(rp, s, target, level, exhausted,
+                        &reach_seed_len_[s])) {
+          reach_pending_[kept++] = s;
+        }
+      }
+      reach_pending_.resize(kept);
+      return kept > 0;
+    };
+    if (!settle(0, false)) return Status::OK();
+    ++batch_blocks_;
+    GPML_RETURN_IF_ERROR(ReverseExpand(rp, /*next_step=*/-1, target, 1));
+    size_t level_begin = 0;
+    for (uint32_t dist = 1; settle(dist, level_begin == reach_states_.size());
+         ++dist) {
+      const size_t level_end = reach_states_.size();
+      ++batch_blocks_;
+      for (size_t i = level_begin; i < level_end; ++i) {
+        const ReachState st = reach_states_[i];
+        GPML_RETURN_IF_ERROR(
+            ReverseExpand(rp, static_cast<int>(st.step), st.node, dist + 1));
+      }
+      level_begin = level_end;
+    }
+    return Status::OK();
+  }
+
+  /// Lists every seed's first hops out of start-only steps, in forward
+  /// (start item, CSR position, closure item) order: the reverse BFS never
+  /// expands into those steps, whose states matter only on seeds.
+  Status ListFirstHops(const ReachPlan& rp) {
+    reach_hops_.clear();
+    reach_hop_begin_.assign(1, 0);
+    for (size_t s = 0; s < num_seeds_; ++s) {
+      const NodeId seed = seeds_[s];
+      for (uint32_t it = rp.start_begin; it < rp.start_end; ++it) {
+        const ReachPlan::Item& start = rp.items[it];
+        if (start.edge < 0 ||
+            !reach_start_only_[static_cast<size_t>(start.edge)] ||
+            !ReachChecksPass(rp, start, seed, seed)) {
+          continue;
+        }
+        const ReachPlan::EdgeStep& es =
+            rp.edges[static_cast<size_t>(start.edge)];
+        const Instr& edge_in = program_.code[static_cast<size_t>(es.pc)];
+        const AdjSpan range = g_.csr().Range(seed, edge_in.edge_label_sym);
+        GPML_RETURN_IF_ERROR(ChargeSteps(range.count));
+        batch_candidates_ += range.count;
+        for (size_t k = 0; k < range.count; ++k) {
+          const Adjacency& adj = range[k];
+          if (!ReachEdgeOk(edge_in, adj.edge, adj.traversal)) continue;
+          ++batch_survivors_;
+          for (uint32_t i = es.item_begin; i < es.item_end; ++i) {
+            if (!ReachChecksPass(rp, rp.items[i], adj.neighbor, seed)) {
+              continue;
+            }
+            reach_hops_.push_back({it, static_cast<uint32_t>(k), i,
+                                   adj.neighbor, adj.edge, adj.traversal});
+          }
+        }
+      }
+      reach_hop_begin_.push_back(static_cast<uint32_t>(reach_hops_.size()));
+    }
+    return Status::OK();
+  }
+
+  /// Walks seed `seeds_[s]`'s witness to `target` forward — the first
+  /// start item, then at each state the first (CSR position, closure item),
+  /// whose remaining distance fits the settled length — and stages it with
+  /// its key sequence. The chain is the one BuildReachChain builds for it.
+  Status WalkWitness(const ReachPlan& rp, size_t s, NodeId target) {
+    const NodeId seed = seeds_[s];
+    const uint32_t length = reach_seed_len_[s];
+    const auto key_begin = static_cast<uint32_t>(reach_keys_.size());
+    uint32_t first = rp.start_begin;
+    while (first < rp.start_end &&
+           (!ReachChecksPass(rp, rp.items[first], seed, seed) ||
+            StartItemBounds(rp, s, first, target, 0, true).known != length)) {
+      ++first;
+    }
+    if (first == rp.start_end) {
+      return Status::Internal("reach walk: no start item fits the length");
+    }
+    reach_keys_.push_back(first);
+    BindingChain chain = ExtendChecks(rp, rp.items[first], seed, nullptr);
+    int step = rp.items[first].edge;
+    NodeId node = seed;
+    // Takes the hop over `edge` to `item` on `next`, found at position k.
+    auto take = [&](uint32_t k, uint32_t item, NodeId next, EdgeId edge,
+                    Traversal traversal) {
+      chain = Extend(chain, {rp.edges[static_cast<size_t>(step)].var,
+                             ElementRef::Edge(edge)},
+                     traversal);
+      chain = ExtendChecks(rp, rp.items[item], next, std::move(chain));
+      reach_keys_.push_back(k);
+      reach_keys_.push_back(item);
+      step = rp.items[item].edge;
+      node = next;
+    };
+    for (uint32_t left = length; left > 0; --left) {
+      bool found = false;
+      if (reach_start_only_[static_cast<size_t>(step)]) {
+        // First hop out of a start-only step: already listed.
+        for (uint32_t h = reach_hop_begin_[s];
+             h < reach_hop_begin_[s + 1] && !found; ++h) {
+          const FirstHop& hop = reach_hops_[h];
+          if (hop.start_item != first ||
+              ItemDistance(rp.items[hop.item], hop.node, target) !=
+                  left - 1) {
+            continue;
+          }
+          found = true;
+          take(hop.k, hop.item, hop.node, hop.edge, hop.traversal);
+        }
+      } else {
+        const ReachPlan::EdgeStep& es = rp.edges[static_cast<size_t>(step)];
+        const Instr& edge_in = program_.code[static_cast<size_t>(es.pc)];
+        const AdjSpan range = g_.csr().Range(node, edge_in.edge_label_sym);
+        size_t scanned = 0;
+        while (scanned < range.count && !found) {
+          const size_t k = scanned++;
+          const Adjacency& adj = range[k];
+          if (!ReachEdgeOk(edge_in, adj.edge, adj.traversal)) continue;
+          ++batch_survivors_;
+          for (uint32_t it = es.item_begin; it < es.item_end && !found;
+               ++it) {
+            const ReachPlan::Item& item = rp.items[it];
+            if (ItemDistance(item, adj.neighbor, target) != left - 1 ||
+                !ReachChecksPass(rp, item, adj.neighbor, seed)) {
+              continue;
+            }
+            found = true;
+            take(static_cast<uint32_t>(k), it, adj.neighbor, adj.edge,
+                 adj.traversal);
+          }
+        }
+        GPML_RETURN_IF_ERROR(ChargeSteps(scanned));
+        batch_candidates_ += scanned;
+      }
+      if (!found) return Status::Internal("reach walk: no closer successor");
+    }
+    reach_witnesses_.push_back({static_cast<uint32_t>(s), length, key_begin,
+                                static_cast<uint32_t>(reach_keys_.size()),
+                                std::move(chain)});
+    return Status::OK();
+  }
+
+  /// The reach route from the end filter's side: per target, one reverse
+  /// BFS and one forward walk per seed with a path. A step no edge step's
+  /// closure parks at ("start-only", the first copy of `->+`) is entered
+  /// only from seeds, so its states are never searched in reverse; each
+  /// seed lists its hops out of it once instead. Witnesses are recorded at
+  /// the end in the seed side's discovery order — seed index, then length,
+  /// then key — so the match cut and the merge see the same sequence. One
+  /// step per target plus one per adjacency candidate: first-hop lists,
+  /// reverse scans and walks.
+  Status RunReachFromTargets() {
+    const ReachPlan& rp = *program_.reach;
+    reach_witnesses_.clear();
+    reach_keys_.clear();
+    if (end_filter_->empty()) return Status::OK();
+    reach_start_only_.assign(rp.edges.size(), 1);
+    for (const ReachPlan::EdgeStep& es : rp.edges) {
+      for (uint32_t it = es.item_begin; it < es.item_end; ++it) {
+        const int e = rp.items[it].edge;
+        if (e >= 0) reach_start_only_[static_cast<size_t>(e)] = 0;
+      }
+    }
+    reach_dist_.assign(rp.edges.size() * g_.num_nodes(), kUnreached);
+    GPML_RETURN_IF_ERROR(ListFirstHops(rp));
+    for (const NodeId target : *end_filter_) {
+      GPML_RETURN_IF_ERROR(ChargeSteps(1));
+      GPML_RETURN_IF_ERROR(ReverseReach(rp, target));
+      for (size_t s = 0; s < num_seeds_; ++s) {
+        if (reach_seed_len_[s] == kUnreached) continue;
+        GPML_RETURN_IF_ERROR(WalkWitness(rp, s, target));
+      }
+      for (const ReachState& st : reach_states_) {
+        reach_dist_[st.step * g_.num_nodes() + st.node] = kUnreached;
+      }
+    }
+    const std::vector<uint32_t>& keys = reach_keys_;
+    std::sort(reach_witnesses_.begin(), reach_witnesses_.end(),
+              [&keys](const TargetWitness& a, const TargetWitness& b) {
+                if (a.seed != b.seed) return a.seed < b.seed;
+                if (a.length != b.length) return a.length < b.length;
+                return std::lexicographical_compare(
+                    keys.begin() + a.key_begin, keys.begin() + a.key_end,
+                    keys.begin() + b.key_begin, keys.begin() + b.key_end);
+              });
+    for (const TargetWitness& w : reach_witnesses_) {
+      GPML_RETURN_IF_ERROR(RecordAccept(w.chain, no_tags_));
     }
     return Status::OK();
   }
@@ -1248,6 +1617,7 @@ class Matcher {
   const Params* params_;  // $name bindings for inline predicates; may be null.
   const size_t match_cap_;
   const std::vector<NodeId>* end_filter_;  // Sorted; nullptr: any end.
+  const bool reach_from_targets_;
 
   size_t steps_ = 0;
   size_t pending_steps_ = 0;
@@ -1265,6 +1635,17 @@ class Matcher {
   std::vector<uint32_t> reach_visited_;    // [edge step * nodes + node].
   std::vector<uint32_t> reach_witnessed_;  // [end node].
   std::vector<uint32_t> reach_path_;       // BuildReachChain ancestors.
+  // Target side (one shard; reused across targets):
+  std::vector<uint8_t> reach_start_only_;  // [edge step].
+  std::vector<uint32_t> reach_dist_;  // [edge step * nodes + node]: hops to
+                                      // an accept at the current target.
+  std::vector<ReachState> reach_states_;  // Reverse BFS, level order.
+  std::vector<FirstHop> reach_hops_;      // Per seed index, from
+  std::vector<uint32_t> reach_hop_begin_; // reach_hop_begin_[s].
+  std::vector<uint32_t> reach_pending_;   // Seed indices not yet settled.
+  std::vector<uint32_t> reach_seed_len_;  // [seed index]: witness length.
+  std::vector<TargetWitness> reach_witnesses_;
+  std::vector<uint32_t> reach_keys_;  // Witness key sequences.
   const std::vector<int32_t> no_tags_;     // Fast routes emit no kTag.
   MatchRoute route_ = MatchRoute::kScalar;
   size_t batch_blocks_ = 0;
@@ -1307,6 +1688,7 @@ struct ShardContext {
   bool keep_partial;
   size_t match_cap;
   const std::vector<NodeId>* end_filter;
+  bool reach_from_targets;
 };
 
 void RunShard(const ShardContext& ctx, const NodeId* seeds, size_t num_seeds,
@@ -1315,7 +1697,7 @@ void RunShard(const ShardContext& ctx, const NodeId* seeds, size_t num_seeds,
   SharedBudget* budget = ctx.budget;
   Matcher m(ctx.g, ctx.program, ctx.vars, ctx.options, seeds, num_seeds,
             budget, ctx.charge_stride, ctx.params, ctx.match_cap,
-            ctx.end_filter);
+            ctx.end_filter, ctx.reach_from_targets);
   out->status = m.Run();
   if (out->status.ok() && budget != nullptr) out->status = m.FlushSteps();
   out->steps = m.steps();
@@ -1422,6 +1804,25 @@ MatchSet MergeShards(std::vector<ShardOutcome> outcomes,
   return out;
 }
 
+/// The reach route's direction (docs/vectorized.md, "Target side"): an end
+/// filter listing fewer nodes than there are seeds runs one reverse BFS per
+/// target instead of one forward BFS per seed. A final node joined to the
+/// start variable (`(x)...(x)`) needs the seed inside the search, so it
+/// stays on the seed side.
+bool ReachFromTargets(const Program& program, const MatcherOptions& options,
+                      size_t num_seeds,
+                      const std::vector<NodeId>* end_filter) {
+  const ReachPlan* rp = program.reach.get();
+  if (!options.use_batch || rp == nullptr || !rp->eligible ||
+      end_filter == nullptr || end_filter->size() >= num_seeds) {
+    return false;
+  }
+  for (const ReachPlan::NodeCheck& nc : rp->node_checks) {
+    if (nc.eq_start) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
@@ -1455,10 +1856,16 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
   // Fan out only when every worker gets a meaningful block: thread
   // spawn/join costs tens of microseconds, which would dominate small
   // queries (the shard count never changes results, only latency).
+  // The target side runs as one shard: its witnesses are ordered by seed
+  // only once every target is searched.
+  const bool reach_from_targets =
+      ReachFromTargets(program, options, seeds.size(), end_filter);
   const size_t threads = std::max<size_t>(1, options.num_threads);
   const size_t per_shard = std::max<size_t>(1, options.min_seeds_per_shard);
   const size_t shards =
-      std::max<size_t>(1, std::min(threads, seeds.size() / per_shard));
+      reach_from_targets
+          ? 1
+          : std::max<size_t>(1, std::min(threads, seeds.size() / per_shard));
 
   SharedBudget local_budget(options.max_steps, options.max_matches);
   const size_t match_cap = shared_budget != nullptr
@@ -1468,7 +1875,7 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
   bool seeds_distinct = true;
   ShardContext ctx{g, program, vars, options, shared_budget,
                    /*charge_stride=*/1, params, keep_partial, match_cap,
-                   end_filter};
+                   end_filter, reach_from_targets};
 
   if (shards == 1) {
     // Single shard: with no external budget, a plain local step counter —
@@ -1508,10 +1915,13 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
     stats->seeds = seeds.size();
     stats->steps = 0;
     stats->route = outcomes[0].route;
+    stats->reach_from_targets =
+        stats->route == MatchRoute::kReach && reach_from_targets;
     stats->batch_blocks = 0;
     stats->batch_candidates = 0;
     stats->batch_survivors = 0;
     stats->seed_ms = seed_ms;
+    stats->merge_ms = 0;
     stats->shard_ms.clear();
     stats->shard_ms.reserve(outcomes.size());
     for (const ShardOutcome& o : outcomes) {
@@ -1541,11 +1951,15 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
   }
   size_t accepted = 0;
   bool over_cap = false;
+  obs::Stopwatch merge_clock;
   MatchSet result =
       MergeShards(std::move(outcomes), program,
                   /*cross_shard_dedup=*/shards > 1 && !seeds_distinct,
                   match_cap, &accepted, &over_cap);
-  if (stats != nullptr) stats->match_ms = run_clock.ElapsedMs();
+  if (stats != nullptr) {
+    stats->merge_ms = merge_clock.ElapsedMs();
+    stats->match_ms = run_clock.ElapsedMs();
+  }
   if (over_cap) {
     // No shard alone passed the cap, but their concatenation did.
     if (!keep_partial) {

@@ -153,12 +153,18 @@ struct MatchStats {
                                 // expanded.
   size_t batch_candidates = 0;  // Adjacency candidates gathered.
   size_t batch_survivors = 0;   // Candidates surviving all filter passes.
+  /// The reach route ran target-side: one reverse BFS per end-filter node
+  /// instead of one forward BFS per seed (EXPLAIN ANALYZE
+  /// `reach_from=targets`; docs/vectorized.md).
+  bool reach_from_targets = false;
   // Wall-clock timings (monotonic clock, see obs/clock.h), always measured:
   // two clock reads per region, far below the bench_obs 2% overhead gate.
   // The engine folds these into its execution record (docs/observability.md).
   double seed_ms = 0;             // ComputeSeeds (seed-list derivation).
   double match_ms = 0;            // The whole RunPattern call.
   std::vector<double> shard_ms;   // Per worker shard, in shard order.
+  double merge_ms = 0;            // MergeShards: cross-shard dedup, match
+                                  // cap, length sort, selector.
 };
 
 /// Runs one compiled pattern over the graph: every admissible start node is
@@ -208,7 +214,10 @@ struct MatchStats {
 /// declarations bound to the pattern's final node variable. Accepts ending
 /// elsewhere are dropped before they count against max_matches. Selectors
 /// partition by endpoints, so the surviving bindings are exactly the full
-/// run's bindings that end in the filter.
+/// run's bindings that end in the filter. On the reachability route an end
+/// filter shorter than the seed list runs the search from the targets, in
+/// one shard (docs/vectorized.md); rows and step totals are unchanged
+/// across thread counts.
 Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
                             const VarTable& vars,
                             const MatcherOptions& options,

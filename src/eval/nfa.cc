@@ -379,17 +379,14 @@ class ReachCompiler {
           if (!in.quant_frame || !SingleEdgeBody(pc)) return false;
           break;
         case Instr::Op::kEdgeStep: {
-          if (!vars_.info(in.var).anonymous) return false;
+          // An edge WHERE could only read a named edge variable's
+          // properties, and named edge variables disqualify.
+          if (!vars_.info(in.var).anonymous || in.edge->where != nullptr) {
+            return false;
+          }
           ReachPlan::EdgeStep es;
           es.pc = static_cast<int>(pc);
           es.var = in.var;
-          if (in.edge->where != nullptr) {
-            es.has_kernel = true;
-            if (!PredicateKernel::Compile(*in.edge->where, in.var, vars_,
-                                          g_.property_symbols(), &es.kernel)) {
-              return false;
-            }
-          }
           edge_index_[pc] = static_cast<int>(plan_.edges.size());
           plan_.edges.push_back(std::move(es));
           break;

@@ -105,8 +105,9 @@ struct BatchPlan {
 /// route"). Built by BindProgramToGraph for ANY / ANY SHORTEST programs
 /// without restrictors or multiset tags whose quantified bodies are single
 /// edges (at most one level of quantifier nesting), whose interior node and
-/// edge variables are all anonymous, and whose inline WHEREs all compile
-/// into PredicateKernels. For those programs the scalar BFS prunes on
+/// edge variables are all anonymous, whose edges carry no WHERE (it could
+/// only read a named edge variable), and whose node WHEREs all compile into
+/// PredicateKernels. For those programs the scalar BFS prunes on
 /// exactly (edge-step position, node) per start node, so a BFS over those
 /// pairs with first-admission reproduces its first witness per endpoint
 /// partition. Anything else leaves `eligible` false.
@@ -137,8 +138,6 @@ struct ReachPlan {
   struct EdgeStep {
     int pc = -1;
     int var = -1;
-    bool has_kernel = false;
-    PredicateKernel kernel;
     uint32_t item_begin = 0;
     uint32_t item_end = 0;
   };

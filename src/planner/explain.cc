@@ -175,6 +175,7 @@ std::string ExplainPlan(const Plan& plan, const VarTable& vars,
       os << " actual_source="
          << (a.index_seeded ? "index" : (a.seed_filtered ? "bound" : "scan"));
       if (!a.route.empty()) os << " actual_route=" << a.route;
+      if (!a.reach_from.empty()) os << " reach_from=" << a.reach_from;
     }
     std::string selector = dp.decl.selector.ToString();
     os << " selector="
@@ -282,6 +283,7 @@ Result<ExplainedPlan> ParseExplain(const std::string& text) {
       if (!actual_ms.empty()) d.actual_ms = std::atof(actual_ms.c_str());
       d.actual_source = TokenValue(line, "actual_source=");
       d.actual_route = TokenValue(line, "actual_route=");
+      d.reach_from = TokenValue(line, "reach_from=");
     }
     out.decls.push_back(std::move(d));
   }

@@ -44,11 +44,16 @@ struct DeclActual {
   std::string route;           // Matcher route ("scalar", "batch",
                                // "reach"); rendered as actual_route= when
                                // non-empty.
+  std::string reach_from;      // Reach route direction ("seeds",
+                               // "targets"); rendered as reach_from= on
+                               // reach steps, "" elsewhere.
   double ms = -1;              // Declaration wall clock (seed + match);
                                // rendered as actual_ms= when >= 0.
-  // Stage timings behind the execution trace's decl/seed/shard/join spans:
+  // Stage timings behind the execution trace's decl/seed/shard/merge/join
+  // spans:
   double seed_ms = 0;            // Seed-list derivation.
   std::vector<double> shard_ms;  // Per worker shard (summed over chunks).
+  double merge_ms = 0;           // Shard merge (summed over chunks).
   double join_ms = 0;            // Joining these bindings into the rows.
 };
 
@@ -76,7 +81,8 @@ struct DeclActual {
 /// `actual_seeds/actual_steps/actual_rows/actual_ms/actual_source/
 /// actual_route` tokens to each step line, where actual_source is `index`,
 /// `bound` or `scan` and actual_route is the matcher route that ran:
-/// `reach`, `batch` or `scalar`.
+/// `reach`, `batch` or `scalar`; reach steps add `reach_from=seeds|targets`,
+/// the side the reachability search ran from (docs/vectorized.md).
 /// `warnings`, when non-null and non-empty, renders the static analyzer's
 /// findings (docs/analysis.md) between the exec line and the steps:
 ///
@@ -122,6 +128,7 @@ struct ExplainedDecl {
   double actual_ms = -1;      // Wall-clock ms of this declaration.
   std::string actual_source;  // "index", "bound", "scan"; "" when absent.
   std::string actual_route;   // "scalar", "batch", "reach"; "" when absent.
+  std::string reach_from;     // "seeds", "targets"; "" when absent.
   std::string end;            // `end=` source: "bound:<var>"; "" when the
                               // line carried none.
 };

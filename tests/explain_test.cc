@@ -388,6 +388,14 @@ TEST(ExplainTest, ExplainAnalyzeRendersAndParsesActuals) {
   // runs batched, the quantified ANY chain on the reachability route.
   EXPECT_EQ(parsed->decls[0].actual_route, "batch") << *text;
   EXPECT_EQ(parsed->decls[1].actual_route, "reach") << *text;
+  // Reach steps say which side the search ran from: the co-location step
+  // binds fewer blocked ends than unblocked starts, so the chain runs from
+  // its ends. Other steps carry no reach_from token.
+  EXPECT_EQ(parsed->decls[0].reach_from, "") << *text;
+  EXPECT_EQ(parsed->decls[1].reach_from, "targets") << *text;
+  EXPECT_NE(text->find(" actual_route=reach reach_from=targets "),
+            std::string::npos)
+      << *text;
   // The measured actuals agree with the engine's metrics.
   EngineMetrics metrics;
   EngineOptions options;
@@ -412,6 +420,37 @@ TEST(ExplainTest, ActualRouteReportsTheScalarOracle) {
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   for (const planner::ExplainedDecl& d : parsed->decls) {
     EXPECT_EQ(d.actual_route, "scalar") << *text;
+    EXPECT_EQ(d.reach_from, "") << *text;
+  }
+}
+
+TEST(ExplainTest, ReachFromRoundtrips) {
+  // Rendered from the actuals and parsed back, on reach steps only.
+  PropertyGraph g = BuildPaperGraph();
+  Result<GraphPattern> pattern = ParseGraphPattern(kFraudQuery);
+  ASSERT_TRUE(pattern.ok());
+  Result<planner::Plan> plan = Engine(g).Plan(*pattern);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_EQ(plan->decls.size(), 2u);
+  Result<GraphPattern> normalized = Normalize(*pattern);
+  ASSERT_TRUE(normalized.ok());
+  Result<Analysis> analysis = Analyze(*normalized);
+  ASSERT_TRUE(analysis.ok());
+  VarTable vars(*analysis);
+  for (const char* from : {"seeds", "targets"}) {
+    std::vector<planner::DeclActual> actuals(plan->decls.size());
+    actuals[0].route = "batch";
+    actuals[1].route = "reach";
+    actuals[1].reach_from = from;
+    planner::ExplainExec exec;
+    exec.analyzed = true;
+    const std::string text =
+        planner::ExplainPlan(*plan, vars, nullptr, &exec, &actuals);
+    Result<planner::ExplainedPlan> parsed = planner::ParseExplain(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << text;
+    EXPECT_EQ(parsed->decls[0].reach_from, "") << text;
+    EXPECT_EQ(parsed->decls[1].reach_from, from) << text;
+    EXPECT_EQ(parsed->decls[1].actual_route, "reach") << text;
   }
 }
 

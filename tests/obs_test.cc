@@ -188,8 +188,8 @@ TEST(TraceTest, SpanTreeBasics) {
 
 /// Asserts the engine-built span tree is well formed: a closed "query"
 /// root, a "plan" span with the expected cached attribute, per-declaration
-/// "decl" spans owning "seed" and "shard" children, valid parent indices,
-/// and no span left open.
+/// "decl" spans owning "seed", "shard" and one "merge" child (placed after
+/// the shards), valid parent indices, and no span left open.
 void CheckEngineTrace(const obs::Trace& trace, bool expect_cached,
                       const std::string& config) {
   ASSERT_FALSE(trace.empty()) << config;
@@ -198,7 +198,8 @@ void CheckEngineTrace(const obs::Trace& trace, bool expect_cached,
   ASSERT_NE(root, nullptr) << config;
   EXPECT_EQ(root->parent, obs::Trace::kNoParent) << config;
 
-  size_t decls = 0, seeds = 0, shards = 0;
+  size_t decls = 0, seeds = 0, shards = 0, merges = 0;
+  uint64_t shards_end_us = 0;  // Latest shard end of the current decl.
   for (size_t i = 0; i < spans.size(); ++i) {
     const obs::Span& s = spans[i];
     EXPECT_GE(s.duration_us, 0) << config << ": open span " << s.name;
@@ -207,7 +208,10 @@ void CheckEngineTrace(const obs::Trace& trace, bool expect_cached,
       ASSERT_LT(static_cast<size_t>(s.parent), i)
           << config << ": parents precede children";
     }
-    if (s.name == "decl") ++decls;
+    if (s.name == "decl") {
+      ++decls;
+      shards_end_us = 0;
+    }
     if (s.name == "seed") {
       ++seeds;
       EXPECT_EQ(spans[s.parent].name, "decl") << config;
@@ -215,11 +219,19 @@ void CheckEngineTrace(const obs::Trace& trace, bool expect_cached,
     if (s.name == "shard") {
       ++shards;
       EXPECT_EQ(spans[s.parent].name, "decl") << config;
+      shards_end_us = std::max<uint64_t>(
+          shards_end_us, s.start_us + static_cast<uint64_t>(s.duration_us));
+    }
+    if (s.name == "merge") {
+      ++merges;
+      EXPECT_EQ(spans[s.parent].name, "decl") << config;
+      EXPECT_GE(s.start_us, shards_end_us) << config << ": merge after shards";
     }
   }
   EXPECT_EQ(decls, 2u) << config << ": fraud query has two declarations";
   EXPECT_EQ(seeds, decls) << config;
   EXPECT_GE(shards, decls) << config << ": at least one shard per decl";
+  EXPECT_EQ(merges, decls) << config << ": one merge per decl";
 
   const obs::Span* plan = trace.Find("plan");
   ASSERT_NE(plan, nullptr) << config;

@@ -72,18 +72,25 @@ Result<MatchOutput> Execute(const PropertyGraph& g, const std::string& query,
   return q.Execute(params);
 }
 
-/// The matcher route EXPLAIN ANALYZE reports for each declaration.
-std::vector<std::string> Routes(const PropertyGraph& g,
-                                const std::string& query,
-                                const Params& params = {}) {
+/// The step lines of `query`'s EXPLAIN ANALYZE on the reach route.
+std::vector<planner::ExplainedDecl> AnalyzedSteps(const PropertyGraph& g,
+                                                  const std::string& query,
+                                                  const Params& params) {
   Result<std::string> text =
       Engine(g, Options(true, 1)).ExplainAnalyze(query, params);
   EXPECT_TRUE(text.ok()) << query << ": " << text.status();
   if (!text.ok()) return {};
   Result<planner::ExplainedPlan> plan = planner::ParseExplain(*text);
   EXPECT_TRUE(plan.ok()) << plan.status();
+  return plan.ok() ? plan->decls : std::vector<planner::ExplainedDecl>();
+}
+
+/// The matcher route EXPLAIN ANALYZE reports for each declaration.
+std::vector<std::string> Routes(const PropertyGraph& g,
+                                const std::string& query,
+                                const Params& params = {}) {
   std::vector<std::string> routes;
-  for (const planner::ExplainedDecl& d : plan->decls) {
+  for (const planner::ExplainedDecl& d : AnalyzedSteps(g, query, params)) {
     routes.push_back(d.actual_route);
   }
   return routes;
@@ -300,6 +307,7 @@ std::string City(int i) {
 TEST(ReachRouteTest, Figure4RowsAreByteIdenticalOnEveryThreadCount) {
   PropertyGraph g = FraudGraph();
   size_t total_rows = 0;
+  size_t target_side = 0;
   for (int city = 0; city < 6; ++city) {
     const Params params{{"city", Value::String(City(city))}};
     for (const char* tail : kFig4Tails) {
@@ -309,9 +317,19 @@ TEST(ReachRouteTest, Figure4RowsAreByteIdenticalOnEveryThreadCount) {
       EXPECT_EQ(Routes(g, query, params),
                 (std::vector<std::string>{"batch", "reach"}))
           << query;
+      // Each city binds fewer blocked ends than unblocked starts, so the
+      // path step searches from its ends.
+      std::vector<planner::ExplainedDecl> steps =
+          AnalyzedSteps(g, query, params);
+      ASSERT_EQ(steps.size(), 2u);
+      if (steps[0].actual_rows > 0) {
+        EXPECT_EQ(steps[1].reach_from, "targets") << query << " " << city;
+        ++target_side;
+      }
     }
   }
   EXPECT_GT(total_rows, 0u);  // The workload is not vacuous.
+  EXPECT_GT(target_side, 0u);
 }
 
 TEST(ReachRouteTest, Figure4WholeGraphMatchesScalar) {
@@ -430,12 +448,14 @@ TEST(EndFilterTest, ReachSeedsStopOnceEveryTargetHasItsWitness) {
   PropertyGraph g = MakeRandomGraph(60, 200, 2, 0.0, 9);
   Compiled c = Compile(g, "MATCH ANY (x)-[]->+(y)");
   MatcherOptions options;
+  // Two seeds: an end filter at least as long keeps the seed side.
+  const std::vector<NodeId> seeds = {0, 1};
   MatchStats open_stats;
-  Result<MatchSet> open = RunPattern(g, c.program, *c.vars, options, nullptr,
+  Result<MatchSet> open = RunPattern(g, c.program, *c.vars, options, &seeds,
                                      &open_stats);
   ASSERT_TRUE(open.ok());
   ASSERT_EQ(open_stats.route, MatchRoute::kReach);
-  // Each seed's first witness: the ends its BFS meets first.
+  // Each seed's first witnesses: the ends its BFS meets first.
   std::vector<NodeId> ends;
   for (const PathBinding& pb : open->bindings) {
     if (pb.path.Length() == 1) ends.push_back(pb.path.End());
@@ -443,12 +463,13 @@ TEST(EndFilterTest, ReachSeedsStopOnceEveryTargetHasItsWitness) {
   std::sort(ends.begin(), ends.end());
   ends.erase(std::unique(ends.begin(), ends.end()), ends.end());
   ends.resize(std::min<size_t>(ends.size(), 3));
-  ASSERT_FALSE(ends.empty());
+  ASSERT_GE(ends.size(), seeds.size());
   MatchStats stats;
   Result<MatchSet> filtered =
-      RunPattern(g, c.program, *c.vars, options, nullptr, &stats, nullptr,
+      RunPattern(g, c.program, *c.vars, options, &seeds, &stats, nullptr,
                  nullptr, nullptr, &ends);
   ASSERT_TRUE(filtered.ok());
+  EXPECT_FALSE(stats.reach_from_targets);
   EXPECT_LT(stats.steps, open_stats.steps);
   EXPECT_FALSE(filtered->bindings.empty());
 }
@@ -503,6 +524,221 @@ TEST(EndFilterTest, MatchCutIsTheSequentialPrefixOnReach) {
     EXPECT_TRUE(got->truncated);
     EXPECT_EQ(OrderedRows(*got, g), OrderedRows(*want, g))
         << "threads=" << threads;
+  }
+}
+
+// --- Target side -------------------------------------------------------------
+
+/// The side a reach-eligible declaration is expected to run on, or the
+/// scalar BFS for an ineligible one.
+enum class Side { kTargets, kSeeds, kScalar };
+
+/// Runs `query` through RunPattern from `seeds` (nullptr: default seeding)
+/// to `ends`: on the scalar oracle (`use_batch` off, one thread), and on
+/// the fast routes at every thread count, which must take `side`, deliver
+/// the oracle's rows byte for byte, and charge one step total. Returns the
+/// oracle's rows.
+std::vector<std::string> ExpectSideIdentity(const PropertyGraph& g,
+                                            const std::string& query,
+                                            const std::vector<NodeId>* seeds,
+                                            const std::vector<NodeId>& ends,
+                                            Side side) {
+  Compiled c = Compile(g, query);
+  MatcherOptions oracle_options;
+  oracle_options.use_batch = false;
+  Result<MatchSet> oracle =
+      RunPattern(g, c.program, *c.vars, oracle_options, seeds, nullptr,
+                 nullptr, nullptr, nullptr, &ends);
+  EXPECT_TRUE(oracle.ok()) << query << ": " << oracle.status();
+  if (!oracle.ok()) return {};
+  const std::vector<std::string> want = Rendered(*oracle, g, *c.vars);
+  size_t steps = 0;
+  for (size_t threads : kThreadCounts) {
+    MatcherOptions options;
+    options.num_threads = threads;
+    options.min_seeds_per_shard = 1;
+    MatchStats stats;
+    Result<MatchSet> got = RunPattern(g, c.program, *c.vars, options, seeds,
+                                      &stats, nullptr, nullptr, nullptr,
+                                      &ends);
+    EXPECT_TRUE(got.ok()) << query << ": " << got.status();
+    if (!got.ok()) continue;
+    const std::string cell = query + " threads=" + std::to_string(threads) +
+                             " on " + g.Summary();
+    EXPECT_EQ(stats.route, side == Side::kScalar ? MatchRoute::kScalar
+                                                 : MatchRoute::kReach)
+        << cell;
+    EXPECT_EQ(stats.reach_from_targets, side == Side::kTargets) << cell;
+    EXPECT_EQ(Rendered(*got, g, *c.vars), want) << cell;
+    if (threads == 1) steps = stats.steps;
+    EXPECT_EQ(stats.steps, steps) << cell;
+  }
+  return want;
+}
+
+/// Every node of `g`, in id order: an explicit seed list longer than any
+/// end filter below.
+std::vector<NodeId> AllNodes(const PropertyGraph& g) {
+  std::vector<NodeId> all(g.num_nodes());
+  for (NodeId n = 0; n < g.num_nodes(); ++n) all[n] = n;
+  return all;
+}
+
+/// A final node joined to the start (`(x)...(x)`) keeps the seed side.
+Side EligibleSide(const std::string& query) {
+  return query.size() >= 3 && query.compare(query.size() - 3, 3, "(x)") == 0
+             ? Side::kSeeds
+             : Side::kTargets;
+}
+
+TEST(TargetSideTest, RandomMultigraphsMatchScalar) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    PropertyGraph g = MakeRandomGraph(40, 120, 3, 0.25, seed);
+    const std::vector<NodeId> seeds = AllNodes(g);
+    std::vector<NodeId> ends;
+    for (NodeId n = static_cast<NodeId>(seed % 5); n < g.num_nodes(); n += 5) {
+      ends.push_back(n);
+    }
+    size_t rows = 0;
+    for (const char* query : kEligible) {
+      rows += ExpectSideIdentity(g, query, &seeds, ends, EligibleSide(query))
+                  .size();
+    }
+    EXPECT_GT(rows, 0u) << g.Summary();
+  }
+}
+
+TEST(TargetSideTest, SelfLoopsParallelEdgesAndOrientations) {
+  PropertyGraph g = LoopGraph();  // a=0 b=1 c=2 d=3 iso=4.
+  const std::vector<NodeId> seeds = AllNodes(g);
+  for (const std::vector<NodeId>& ends :
+       {std::vector<NodeId>{0, 2, 3}, std::vector<NodeId>{1},
+        std::vector<NodeId>{3, 4}}) {
+    for (const char* query : {
+             "MATCH ANY (x)-[:L0]->+(y)",
+             "MATCH ANY SHORTEST (x)<-[]-+(y)",
+             "MATCH ANY (x)<-[:L0]-{1,3}(y)",
+             "MATCH ANY (x)~[]~+(y)",
+             "MATCH ANY SHORTEST (x)-[]-+(y)",
+             "MATCH ANY (x)<-[]->+(y)",
+             "MATCH ANY (x)-[:L0]->()<-[:L1]-+(y)",
+         }) {
+      ExpectSideIdentity(g, query, &seeds, ends, Side::kTargets);
+    }
+    for (const char* query : kEligible) {
+      ExpectSideIdentity(g, query, &seeds, ends, EligibleSide(query));
+    }
+  }
+}
+
+TEST(TargetSideTest, BoundedQuantifiers) {
+  for (uint64_t seed : {5u, 6u}) {
+    PropertyGraph g = MakeRandomGraph(30, 90, 2, 0.2, seed);
+    const std::vector<NodeId> seeds = AllNodes(g);
+    const std::vector<NodeId> ends = {2, 9, 17, 25};
+    for (const char* query : {
+             "MATCH ANY (x)-[]->{2,4}(y)",
+             "MATCH ANY SHORTEST (x)-[:L0|L1]-{2,4}(y)",
+             "MATCH ANY (x)<-[:L1]-{3}(y)",
+         }) {
+      EXPECT_FALSE(
+          ExpectSideIdentity(g, query, &seeds, ends, Side::kTargets).empty())
+          << query;
+    }
+  }
+}
+
+TEST(TargetSideTest, SeedInsideTheEndFilterHasALengthZeroWitness) {
+  PropertyGraph g = MakeRandomGraph(30, 90, 2, 0.2, 8);
+  std::vector<NodeId> seeds;
+  for (NodeId n = 0; n < 20; ++n) seeds.push_back(n);
+  const std::vector<NodeId> ends = {0, 5, 10, 26};
+  for (const char* query : {
+           "MATCH ANY (x)-[:L0]->*(y)",
+           "MATCH ANY SHORTEST p = (x)-[]->*(y)",
+           "MATCH ANY (x)-[]-{0,2}(y)",
+       }) {
+    ExpectSideIdentity(g, query, &seeds, ends, Side::kTargets);
+    Compiled c = Compile(g, query);
+    MatcherOptions options;
+    Result<MatchSet> got = RunPattern(g, c.program, *c.vars, options, &seeds,
+                                      nullptr, nullptr, nullptr, nullptr,
+                                      &ends);
+    ASSERT_TRUE(got.ok()) << got.status();
+    size_t empty_paths = 0;
+    for (const PathBinding& pb : got->bindings) {
+      if (pb.path.Length() == 0) ++empty_paths;
+    }
+    EXPECT_EQ(empty_paths, 3u) << query;  // Seeds 0, 5 and 10.
+  }
+}
+
+TEST(TargetSideTest, KernelsAndIneligibleShapes) {
+  PropertyGraph g = MakeRandomGraph(40, 120, 3, 0.25, 2);
+  const std::vector<NodeId> seeds = AllNodes(g);
+  const std::vector<NodeId> ends = {1, 7, 13, 22, 38};
+  // Node kernels on the start and final nodes, a label on an interior one.
+  for (const char* query : {
+           "MATCH ANY SHORTEST (x WHERE x.w < 50)-[:L2|L0]->{1,4}"
+           "(y WHERE y.w >= 30)",
+           "MATCH ANY (x)-[]->(:L1)-[:L1]->+(y WHERE y.w < 80)",
+       }) {
+    ExpectSideIdentity(g, query, &seeds, ends, Side::kTargets);
+  }
+  // An edge WHERE needs a named edge variable, which keeps the scalar BFS.
+  ExpectSideIdentity(g, "MATCH ANY (x)-[e:L0 WHERE e.w > 30]->+(y)", &seeds,
+                     ends, Side::kScalar);
+  // A cycle back to the start needs the seed inside the search.
+  ExpectSideIdentity(g, "MATCH ANY (x)-[]->+(x)", &seeds, ends, Side::kSeeds);
+  ExpectSideIdentity(g, "MATCH ANY SHORTEST (x)-[:L1]-{2,}(x)", &seeds, ends,
+                     Side::kSeeds);
+}
+
+TEST(TargetSideTest, MatchCutIsTheSequentialPrefix) {
+  PropertyGraph g = MakeRandomGraph(40, 120, 3, 0.25, 3);
+  const std::vector<NodeId> seeds = AllNodes(g);
+  const std::vector<NodeId> ends = {3, 11, 19, 27, 35};
+  Compiled c = Compile(g, "MATCH ANY (x)-[:L0|L1]->+(y)");
+  MatcherOptions options;
+  options.min_seeds_per_shard = 1;
+  Result<MatchSet> full = RunPattern(g, c.program, *c.vars, options, &seeds,
+                                     nullptr, nullptr, nullptr, nullptr,
+                                     &ends);
+  ASSERT_TRUE(full.ok());
+  // The sequential discovery order is seed by seed, each seed's witnesses
+  // by length; the delivered rows are its first `cap`, sorted by length.
+  const size_t cap = full->bindings.size() / 2;
+  ASSERT_GT(cap, 0u);
+  std::vector<PathBinding> order = full->bindings;
+  std::stable_sort(order.begin(), order.end(),
+                   [](const PathBinding& a, const PathBinding& b) {
+                     return a.path.Start() < b.path.Start();
+                   });
+  MatchSet want;
+  want.bindings.assign(order.begin(), order.begin() + static_cast<long>(cap));
+  std::stable_sort(want.bindings.begin(), want.bindings.end(),
+                   [](const PathBinding& a, const PathBinding& b) {
+                     return a.path.Length() < b.path.Length();
+                   });
+  options.max_matches = cap;
+  for (size_t threads : kThreadCounts) {
+    options.num_threads = threads;
+    MatchStats stats;
+    bool exhausted = false;
+    Result<MatchSet> got = RunPattern(g, c.program, *c.vars, options, &seeds,
+                                      &stats, nullptr, nullptr, &exhausted,
+                                      &ends);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_TRUE(stats.reach_from_targets);
+    EXPECT_TRUE(exhausted) << "threads=" << threads;
+    EXPECT_EQ(Rendered(*got, g, *c.vars), Rendered(want, g, *c.vars))
+        << "threads=" << threads;
+    // Without partial delivery the same cut is an error.
+    EXPECT_EQ(RunPattern(g, c.program, *c.vars, options, &seeds, nullptr,
+                         nullptr, nullptr, nullptr, &ends)
+                  .status()
+                  .code(),
+              StatusCode::kResourceExhausted);
   }
 }
 
